@@ -211,9 +211,10 @@ class WorkerFailure(SimulationError):
     the supervisor must fence, not double-apply), or is spoken to after
     the transport was deliberately shut down (closed — e.g. a send
     racing :meth:`close` during interpreter teardown). The supervised
-    engine catches this internally and recovers; the unsupervised
-    :class:`~repro.sim.parallel.ShardedEngine` lets it propagate instead
-    of leaking a raw ``EOFError``/``BrokenPipeError``.
+    engine catches this internally and walks its recovery ladder; a
+    caller driving a :class:`~repro.sim.transport.ShardTransport`
+    directly sees this typed failure, never a raw
+    ``EOFError``/``BrokenPipeError``.
 
     ``"unreachable"`` is deliberately distinct from ``"crash"``: a
     partitioned worker may be slow-but-alive, so its late replies carry

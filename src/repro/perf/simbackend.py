@@ -82,22 +82,24 @@ class SimBackend:
 
     # -- helpers ---------------------------------------------------------
     def _target_tids(self, tid: int, inherit: bool) -> list[int]:
-        # A tid may name a process leader or an individual thread.
-        for proc in self.machine.processes.values():
-            if proc.pid == tid:
-                self._check_permission(proc.uid)
-                if not proc.alive:
-                    raise NoSuchTaskError(f"task {tid} has exited")
-                if inherit:
-                    return [t.tid for t in proc.threads if t.alive]
-                return [proc.threads[0].tid]
-            for t in proc.threads:
-                if t.tid == tid:
-                    self._check_permission(proc.uid)
-                    if not t.alive:
-                        raise NoSuchTaskError(f"task {tid} has exited")
-                    return [tid]
-        raise NoSuchTaskError(f"no such task {tid}")
+        # A tid may name a process leader or an individual thread. Pids
+        # and tids share one id space, so at most one lookup matches, and
+        # neither scans the (ever-growing) table of dead processes.
+        proc = self.machine.processes.get(tid)
+        if proc is not None:
+            self._check_permission(proc.uid)
+            if not proc.alive:
+                raise NoSuchTaskError(f"task {tid} has exited")
+            if inherit:
+                return [t.tid for t in proc.threads if t.alive]
+            return [proc.threads[0].tid]
+        thread = self.machine._threads.get(tid)
+        if thread is None:
+            raise NoSuchTaskError(f"no such task {tid}")
+        self._check_permission(thread.process.uid)
+        if not thread.alive:
+            raise NoSuchTaskError(f"task {tid} has exited")
+        return [tid]
 
     def _check_permission(self, owner_uid: int) -> None:
         if self.monitor_uid != ROOT_UID and self.monitor_uid != owner_uid:

@@ -197,32 +197,29 @@ class Grid:
         workers: 1 (default) runs every node in-process through the
             epoch-batched serial engine; N > 1 shards the fleet over N
             persistent worker processes under supervision.
-        engine: explicit engine override ("legacy", "serial", "sharded",
-            "supervised", "fleet"); None derives it — "fleet" when
-            ``hosts`` is given, "supervised" when workers/chaos/
-            supervision/transport ask for worker processes, "serial"
-            otherwise (worker processes are only trusted behind the
-            supervision tree; "sharded" remains as the unsupervised
-            baseline). "legacy" is the pre-epoch per-tick loop, kept as
+        engine: explicit engine override ("legacy", "serial",
+            "supervised", or its aliases "sharded" and "fleet"); None
+            derives it — "supervised" when workers/chaos/supervision/
+            transport/hosts ask for worker processes, "serial"
+            otherwise. "legacy" is the pre-epoch per-tick loop, kept as
             the reference and benchmark baseline.
         profile: print per-epoch engine timings, message counts, wire
-            bytes and RateCache statistics to stderr (plus restart/
-            replay/degrade counters under the supervised engines).
+            bytes, RateCache statistics and restart/replay/degrade
+            counters to stderr.
         grid_chaos: seeded worker-fault injection — an int seed (stock
             fault mix) or a prebuilt
             :class:`~repro.sim.supervisor.GridFaultPlan`. Requires (and
             defaults the engine to) "supervised".
         supervision: :class:`~repro.sim.supervisor.Supervision` policy
-            override for the supervised engines.
+            override for the supervised engine.
         transport: how shards talk to workers — "inproc" (serial,
             zero-copy), "fork" (multiprocessing pipes, the default) or
             "socket" (length-prefixed binary frames over a persistent
             socket per worker). A pure performance knob: digests are
             transport-invariant.
-        hosts: partition the worker pool into this many host groups,
-            each a full supervised engine under fleet-level supervision
-            (host death resurrects the whole group by journal replay).
-            Implies the "fleet" engine.
+        hosts: group the worker slots into this many hosts, each with
+            its own restart budget; a degraded host is resurrected from
+            its slots' journals. The engine then reports as "fleet".
         net_chaos: seeded network-fault injection on the shard links —
             an int seed (stock partition/drop/half-open/duplicate/delay
             mix) or a prebuilt :class:`~repro.sim.netchaos.NetChaosPlan`.
@@ -276,17 +273,10 @@ class Grid:
                 f"unknown shard transport {transport!r} "
                 f"(have: {', '.join(TRANSPORT_NAMES)})"
             )
-        if hosts is not None and hosts < 1:
-            raise SimulationError(f"hosts must be >= 1, got {hosts}")
         if engine is None:
-            if hosts is not None:
-                engine = "fleet"
-            elif (
-                workers > 1
-                or chaos is not None
-                or netchaos is not None
-                or supervision is not None
-                or transport is not None
+            if workers > 1 or any(
+                option is not None
+                for option in (chaos, netchaos, supervision, transport, hosts)
             ):
                 engine = "supervised"
             else:
@@ -326,17 +316,13 @@ class Grid:
             "preemptions": 0,
             "bytes_sent": 0,
             "bytes_received": 0,
+            "restarts": 0,
+            "replayed_epochs": 0,
+            "adopted_shards": 0,
+            "worker_failures": 0,
+            "degraded": False,
+            "host_restarts": 0,
         }
-        if self.engine.name in ("supervised", "fleet"):
-            self.stats.update(
-                restarts=0,
-                replayed_epochs=0,
-                adopted_shards=0,
-                worker_failures=0,
-                degraded=False,
-            )
-        if self.engine.name == "fleet":
-            self.stats["host_restarts"] = 0
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
@@ -631,9 +617,9 @@ class Grid:
         """One engine round-trip: ship queued spawns, advance every shard
         by ``n_ticks`` whole ticks (plus ``frac``), merge the reports."""
         commands, self._pending_cmds = self._pending_cmds, []
-        msgs_before = getattr(self.engine, "messages", 0)
-        sent_before = getattr(self.engine, "bytes_sent", 0)
-        recv_before = getattr(self.engine, "bytes_received", 0)
+        msgs_before = self.engine.messages
+        sent_before = self.engine.bytes_sent
+        recv_before = self.engine.bytes_received
         t0 = time.perf_counter()
         reports = self.engine.advance(commands, n_ticks, frac)
         wall = time.perf_counter() - t0
@@ -685,9 +671,9 @@ class Grid:
             self._kill_due.pop(job_id, None)
             self._exit_after.pop(job_id, None)
 
-        msgs = getattr(self.engine, "messages", 0) - msgs_before
-        sent = getattr(self.engine, "bytes_sent", 0)
-        recv = getattr(self.engine, "bytes_received", 0)
+        msgs = self.engine.messages - msgs_before
+        sent = self.engine.bytes_sent
+        recv = self.engine.bytes_received
         self.stats["epochs"] += 1
         self.stats["ticks"] += n_ticks
         self.stats["messages"] += msgs
@@ -696,32 +682,23 @@ class Grid:
         self.stats["rate_cache_misses"] = misses
         self.stats["bytes_sent"] = sent
         self.stats["bytes_received"] = recv
-        supervised = self.engine.name in ("supervised", "fleet")
-        if supervised:
-            sup = self.engine.stats
-            self.stats["restarts"] = sup["restarts"]
-            self.stats["replayed_epochs"] = sup["replayed_epochs"]
-            self.stats["adopted_shards"] = sup["adopted_shards"]
-            self.stats["worker_failures"] = sum(sup["failures"].values())
-            self.stats["degraded"] = sup["degraded"]
-            if self.engine.name == "fleet":
-                self.stats["host_restarts"] = sup["host_restarts"]
+        sup = self.engine.stats
+        for key in ("restarts", "replayed_epochs", "adopted_shards",
+                    "degraded", "host_restarts"):
+            self.stats[key] = sup[key]
+        self.stats["worker_failures"] = sum(sup["failures"].values())
         if self.profile:
             walls = ",".join(f"{w * 1000:.2f}" for w in shard_walls)
-            extra = ""
-            if supervised:
-                extra = (
-                    f" restarts={self.stats['restarts']}"
-                    f" replayed={self.stats['replayed_epochs']}"
-                    f" adopted={self.stats['adopted_shards']}"
-                    f" degraded={int(self.stats['degraded'])}"
-                )
             print(
                 f"grid-profile: epoch={self.stats['epochs']}"
                 f" ticks={n_ticks} frac={frac:g} spawns={len(commands)}"
                 f" deaths={len(deaths)} wall_ms=[{walls}] msgs={msgs}"
                 f" bytes={sent - sent_before}/{recv - recv_before}"
-                f" rate_cache={hits}/{misses}" + extra,
+                f" rate_cache={hits}/{misses}"
+                f" restarts={self.stats['restarts']}"
+                f" replayed={self.stats['replayed_epochs']}"
+                f" adopted={self.stats['adopted_shards']}"
+                f" degraded={int(self.stats['degraded'])}",
                 file=sys.stderr,
             )
 
@@ -820,7 +797,7 @@ class Grid:
         """The supervised engine's deterministic recovery log (empty for
         the other engines): failures observed, restarts with replay
         depth, adoptions, and the degrade transition, in order."""
-        return list(getattr(self.engine, "events", []))
+        return list(self.engine.events)
 
     def jobs(self, state: str | None = None) -> list[Job]:
         """All jobs, optionally filtered by state."""

@@ -9,7 +9,7 @@ or a slot frees. That property is what batch schedulers exploit to fan
 work out across hosts, and what this module exploits to advance nodes
 concurrently between **dispatch epochs**.
 
-Five engines implement the same contract:
+Three engines implement the same contract:
 
 * ``legacy`` — the original per-tick loop (dispatch, advance every node by
   one scalar tick, reap). Kept as the reference semantics and the
@@ -18,20 +18,19 @@ Five engines implement the same contract:
   a whole epoch at a time through the batched
   :meth:`~repro.sim.machine.SimMachine.run_ticks` memo path with a shard-
   shared :class:`~repro.sim.core.RateCache`. The default and the CI path.
-* ``sharded`` — persistent worker agents, each owning a disjoint
-  :class:`Shard` behind a pluggable
+* ``supervised`` (:mod:`repro.sim.supervisor`) — persistent worker
+  agents, each owning a disjoint :class:`Shard` behind a pluggable
   :class:`~repro.sim.transport.ShardTransport` (``inproc`` serial
   zero-copy, ``fork`` multiprocessing pipes, ``socket`` binary frames over
-  a persistent stream socket). Machines are constructed *inside* the agent
-  from (spec, seed) and never cross the process boundary; per epoch
-  exactly one compact message round-trip happens per worker (spawn/preempt
-  commands in, job-exit/bound/cache snapshots out).
-* ``supervised`` (:mod:`repro.sim.supervisor`) — the sharded engine under
-  a supervision tree: deadlines, journal-replay restarts, adoption,
-  degrade-to-serial.
-* ``fleet`` (:mod:`repro.sim.fleet`) — a two-level tree: a fleet
-  supervisor over per-host supervised engines, scaling the same epoch
-  protocol to hundreds of simulated nodes.
+  a persistent stream socket), under a supervision tree: deadlines,
+  journal-replay restarts, adoption, degrade-to-serial. ``sharded`` is an
+  alias for it; ``fleet`` is it with a host tier (``hosts=2`` unless
+  given), where a degraded host is resurrected from its slots' journals.
+
+Every engine exposes the same surface — ``messages``, ``bytes_sent``,
+``bytes_received``, recovery ``stats`` and ``events``, ``_procs``,
+``live_workers()``, ``fenced_replies()``, ``net_faults()`` — so the grid
+never asks which engine it drives; the in-process engines report zeros.
 
 Determinism. A machine's evolution is a pure function of its spec, seed,
 tick, and the timed sequence of spawns/kills applied to it. All three
@@ -79,23 +78,6 @@ ENGINE_NAMES = ("legacy", "serial", "sharded", "supervised", "fleet")
 #: Defined here so the grid can validate without importing the
 #: transport layer (which pulls in the serve package) at module load.
 TRANSPORT_NAMES = ("inproc", "fork", "socket")
-
-
-def _entry_list(
-    specs: list["NodeSpec"], seed: int, seeds: list[int] | None
-) -> list[tuple["NodeSpec", int]]:
-    """Per-node (spec, seed) pairs. Explicit ``seeds`` let a fleet
-    supervisor keep node ``i``'s global seed ``base + i`` regardless of
-    which host group it landed in — the seed assignment, like the
-    node-to-worker assignment, must be a pure function of the node's
-    global index for engines to stay bitwise-equivalent."""
-    if seeds is None:
-        return [(spec, seed + index) for index, spec in enumerate(specs)]
-    if len(seeds) != len(specs):
-        raise SimulationError(
-            f"{len(seeds)} seeds for {len(specs)} node specs"
-        )
-    return list(zip(specs, seeds))
 
 
 @dataclass(frozen=True)
@@ -201,7 +183,7 @@ def proc_exit_lb(machine: SimMachine, proc: "SimProcess") -> float | None:
 
 def node_snapshot(machine: SimMachine) -> dict[str, Any]:
     """Every grid-observable of one node, exactly (for equivalence tests
-    and the sharded engine's snapshot message)."""
+    and the supervised engine's snapshot message)."""
     procs = {}
     for pid, proc in machine.processes.items():
         procs[pid] = (
@@ -263,14 +245,8 @@ class Shard:
         self.rate_cache = RateCache()
         self.machines: dict[str, SimMachine] = {}
         for spec, seed in entries:
-            self.machines[spec.name] = SimMachine(
-                spec.arch,
-                sockets=spec.sockets,
-                cores_per_socket=spec.cores_per_socket,
-                memory_bytes=spec.memory_bytes,
-                tick=tick,
-                seed=seed,
-                rate_cache=self.rate_cache,
+            self.machines[spec.name] = _machine(
+                spec, tick, seed, rate_cache=self.rate_cache
             )
         #: job_id -> (node name, pid) for jobs this shard still tracks.
         self._jobs: dict[int, tuple[str, int]] = {}
@@ -377,13 +353,64 @@ class Shard:
 
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         """Snapshots for several nodes in one call (one message on the
-        sharded engines, instead of a round-trip per node)."""
+        supervised engine, instead of a round-trip per node)."""
         return {name: node_snapshot(self.machines[name]) for name in names}
+
+
+def supervision_stats() -> dict[str, Any]:
+    """The recovery counters every engine reports (all zero for the
+    in-process engines, which have nothing to recover)."""
+    return {
+        "restarts": 0,
+        "replayed_epochs": 0,
+        "adopted_shards": 0,
+        "host_restarts": 0,
+        "degraded": False,
+        "failures": {"crash": 0, "hang": 0, "garbled": 0, "unreachable": 0},
+    }
 
 
 # -- engines ------------------------------------------------------------------
 
-class LegacyTickEngine:
+def _machine(spec: "NodeSpec", tick: float, seed: int, **kw) -> SimMachine:
+    return SimMachine(
+        spec.arch,
+        sockets=spec.sockets,
+        cores_per_socket=spec.cores_per_socket,
+        memory_bytes=spec.memory_bytes,
+        tick=tick,
+        seed=seed,
+        **kw,
+    )
+
+
+class _InProcessEngine:
+    """The engine surface at its in-process values: no wire, no worker
+    processes, nothing to recover."""
+
+    messages = 0
+    bytes_sent = 0
+    bytes_received = 0
+    _procs: tuple = ()
+
+    def __init__(self) -> None:
+        self.stats = supervision_stats()
+        self.events: list[dict[str, Any]] = []
+
+    def live_workers(self) -> int:
+        return 0
+
+    def fenced_replies(self) -> int:
+        return 0
+
+    def net_faults(self) -> int:
+        return 0
+
+    def close(self) -> None:
+        pass
+
+
+class LegacyTickEngine(_InProcessEngine):
     """The pre-epoch reference: in-process machines, no batching.
 
     :meth:`Grid.run_for` special-cases this engine and runs the original
@@ -394,24 +421,12 @@ class LegacyTickEngine:
 
     name = "legacy"
 
-    def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        *,
-        seeds: list[int] | None = None,
-    ) -> None:
-        self.nodes: dict[str, SimMachine] = {}
-        for spec, node_seed in _entry_list(specs, seed, seeds):
-            self.nodes[spec.name] = SimMachine(
-                spec.arch,
-                sockets=spec.sockets,
-                cores_per_socket=spec.cores_per_socket,
-                memory_bytes=spec.memory_bytes,
-                tick=tick,
-                seed=node_seed,
-            )
+    def __init__(self, specs: list["NodeSpec"], tick: float, seed: int) -> None:
+        super().__init__()
+        self.nodes: dict[str, SimMachine] = {
+            spec.name: _machine(spec, tick, seed + i)
+            for i, spec in enumerate(specs)
+        }
 
     def snapshot(self, node: str) -> dict[str, Any]:
         return node_snapshot(self.nodes[node])
@@ -419,24 +434,17 @@ class LegacyTickEngine:
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         return {name: node_snapshot(self.nodes[name]) for name in names}
 
-    def close(self) -> None:
-        pass
 
-
-class SerialEpochEngine:
+class SerialEpochEngine(_InProcessEngine):
     """All nodes in one in-process shard, advanced epoch-at-a-time."""
 
     name = "serial"
 
-    def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        *,
-        seeds: list[int] | None = None,
-    ) -> None:
-        self.shard = Shard(_entry_list(specs, seed, seeds), tick)
+    def __init__(self, specs: list["NodeSpec"], tick: float, seed: int) -> None:
+        super().__init__()
+        self.shard = Shard(
+            [(spec, seed + i) for i, spec in enumerate(specs)], tick
+        )
         self.nodes = self.shard.machines
 
     def advance(
@@ -453,138 +461,6 @@ class SerialEpochEngine:
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
         return self.shard.snapshot_many(names)
 
-    def close(self) -> None:
-        pass
-
-
-class ShardedEngine:
-    """Persistent worker agents, one disjoint shard of nodes each.
-
-    Node ``i`` of the fleet goes to worker ``i % workers`` — a fixed,
-    deterministic assignment, so pid sequences and RNG streams per node
-    are independent of the worker count *and* of the transport fabric.
-    Machines never cross the process boundary; each epoch costs one
-    message round-trip per worker, over whichever
-    :class:`~repro.sim.transport.ShardTransport` was requested.
-    """
-
-    name = "sharded"
-
-    #: Seconds a worker may take to answer one round-trip (epoch advance,
-    #: snapshot, or the ready handshake) before it is declared hung.
-    deadline = 60.0
-
-    def __init__(
-        self,
-        specs: list["NodeSpec"],
-        tick: float,
-        seed: int,
-        workers: int,
-        *,
-        transport: str = "fork",
-        seeds: list[int] | None = None,
-    ) -> None:
-        from repro.sim.transport import make_transport
-
-        if workers < 1:
-            raise SimulationError(f"sharded engine needs >= 1 worker, got {workers}")
-        self.workers = min(workers, len(specs))
-        self.transport_name = transport
-        #: Sharded nodes live in worker agents; direct access would
-        #: break the shared-nothing contract, so the mapping stays empty.
-        self.nodes: dict[str, SimMachine] = {}
-        self._node_worker: dict[str, int] = {}
-        self.messages = 0
-        self.closed = False
-        entry_list = _entry_list(specs, seed, seeds)
-        self._transports = []
-        for w in range(self.workers):
-            entries = []
-            for index, entry in enumerate(entry_list):
-                if index % self.workers == w:
-                    entries.append(entry)
-                    self._node_worker[entry[0].name] = w
-            self._transports.append(make_transport(transport, w, entries, tick))
-        for t in self._transports:
-            t.spawn([], 0)
-        for w in range(self.workers):
-            self._recv(w)  # ready handshake: shard machines are built
-
-    def _recv(self, worker: int) -> Any:
-        """One guarded round-trip reply.
-
-        The transport enforces the deadline, liveness and shape rules and
-        raises a typed :class:`~repro.errors.WorkerFailure` (never a raw
-        ``EOFError`` or an unbounded block). This engine does not recover
-        — that is the supervised engine's job — but it fails loudly and
-        precisely.
-        """
-        tag, payload = self._transports[worker].recv(self.deadline)
-        if tag != "ok":
-            raise SimulationError(f"grid worker failed: {payload}")
-        return payload
-
-    def _send(self, worker: int, msg: tuple) -> None:
-        self._transports[worker].send(msg)
-        self.messages += 1
-
-    def advance(
-        self, commands: list, n_ticks: int, frac: float
-    ) -> list[dict[str, Any]]:
-        by_worker: dict[int, list] = {}
-        for cmd in commands:
-            by_worker.setdefault(self._node_worker[cmd.node], []).append(cmd)
-        # Send to every worker first so shards advance concurrently, then
-        # collect: one round-trip per worker per epoch.
-        for w in range(self.workers):
-            self._send(w, ("advance", by_worker.get(w, []), n_ticks, frac))
-        return [self._recv(w) for w in range(self.workers)]
-
-    def process_of(self, job_id: int) -> "SimProcess | None":
-        return None
-
-    def snapshot(self, node: str) -> dict[str, Any]:
-        if node not in self._node_worker:
-            raise SimulationError(f"no node {node!r}")
-        return self.snapshot_many([node])[node]
-
-    def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
-        """Snapshots for several nodes: one message per *worker*, not one
-        per node — a whole-fleet refresh is O(workers) round-trips."""
-        by_worker: dict[int, list[str]] = {}
-        for name in names:
-            worker = self._node_worker.get(name)
-            if worker is None:
-                raise SimulationError(f"no node {name!r}")
-            by_worker.setdefault(worker, []).append(name)
-        out: dict[str, dict[str, Any]] = {}
-        for worker, group in by_worker.items():
-            self._send(worker, ("snapshot", group))
-            out.update(self._recv(worker))
-        return out
-
-    @property
-    def bytes_sent(self) -> int:
-        return sum(t.bytes_sent for t in self._transports)
-
-    @property
-    def bytes_received(self) -> int:
-        return sum(t.bytes_received for t in self._transports)
-
-    @property
-    def _procs(self) -> list:
-        """Live worker process handles (leak tests poke at these)."""
-        return [t.proc for t in self._transports if t.proc is not None]
-
-    def close(self) -> None:
-        # Mark closed first: a send racing this teardown gets a typed
-        # WorkerFailure(kind="closed"), not a BrokenPipeError.
-        self.closed = True
-        for t in self._transports:
-            t.request_close()
-        for t in self._transports:
-            t.finish_close(grace=5.0)
-
 
 def create_engine(
     engine: str,
@@ -597,70 +473,39 @@ def create_engine(
     supervision: "Supervision | None" = None,
     transport: str | None = None,
     hosts: int | None = None,
-    seeds: list[int] | None = None,
     net_chaos: "NetChaosPlan | None" = None,
 ):
-    """Engine factory used by :class:`~repro.sim.grid.Grid`."""
-    if chaos is not None and engine not in ("supervised", "fleet"):
-        raise SimulationError(
-            f"grid chaos requires the supervised engine, not {engine!r}"
-        )
-    if net_chaos is not None and engine not in ("supervised", "fleet"):
-        raise SimulationError(
-            f"net chaos requires a supervised engine, not {engine!r} "
-            "(an unsupervised engine has no recovery ladder to heal with)"
-        )
-    if supervision is not None and engine not in ("supervised", "fleet"):
-        raise SimulationError(
-            f"supervision config requires the supervised engine, not {engine!r}"
-        )
-    if transport is not None and engine not in ("sharded", "supervised", "fleet"):
-        raise SimulationError(
-            f"a shard transport requires a sharded engine, not {engine!r}"
-        )
-    if hosts is not None and engine != "fleet":
-        raise SimulationError(
-            f"host groups require the fleet engine, not {engine!r}"
-        )
-    if engine == "legacy":
-        return LegacyTickEngine(specs, tick, seed, seeds=seeds)
-    if engine == "serial":
-        return SerialEpochEngine(specs, tick, seed, seeds=seeds)
-    if engine == "sharded":
-        return ShardedEngine(
-            specs, tick, seed, workers,
-            transport=transport or "fork", seeds=seeds,
-        )
-    if engine == "supervised":
-        return _make_supervised(
-            specs, tick, seed, workers,
-            chaos=chaos, supervision=supervision,
-            transport=transport or "fork", seeds=seeds,
-            net_chaos=net_chaos,
-        )
-    if engine == "fleet":
-        from repro.sim.fleet import FleetEngine
+    """Engine factory used by :class:`~repro.sim.grid.Grid`.
 
-        return FleetEngine(
-            specs, tick, seed, workers,
-            hosts=hosts if hosts is not None else 2,
-            transport=transport or "fork",
-            chaos=chaos, config=supervision, seeds=seeds,
-            netchaos=net_chaos,
+    ``legacy`` and ``serial`` run in-process and take none of the worker
+    options; every other name builds the supervised engine.
+    """
+    if engine not in ENGINE_NAMES:
+        raise SimulationError(
+            f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"
         )
-    raise SimulationError(
-        f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"
-    )
-
-
-def _make_supervised(
-    specs, tick, seed, workers, *, chaos, supervision, transport, seeds,
-    net_chaos=None,
-):
+    if engine in ("legacy", "serial"):
+        options = {
+            "grid chaos": chaos,
+            "net chaos": net_chaos,
+            "supervision config": supervision,
+            "a shard transport": transport,
+            "host groups": hosts,
+        }
+        for what, value in options.items():
+            if value is not None:
+                raise SimulationError(
+                    f"{what} requires a supervised engine, not {engine!r}"
+                )
+        if engine == "legacy":
+            return LegacyTickEngine(specs, tick, seed)
+        return SerialEpochEngine(specs, tick, seed)
     from repro.sim.supervisor import SupervisedShardedEngine
 
+    if engine == "fleet" and hosts is None:
+        hosts = 2
     return SupervisedShardedEngine(
         specs, tick, seed, workers,
-        chaos=chaos, config=supervision, transport=transport, seeds=seeds,
-        netchaos=net_chaos,
+        hosts=hosts, chaos=chaos, config=supervision,
+        transport=transport or "fork", netchaos=net_chaos,
     )

@@ -1,11 +1,14 @@
-"""Supervision for the sharded grid engine: deadlines, restarts, replay.
+"""The supervised grid engine: worker shards, deadlines, restarts, replay.
 
-The :class:`~repro.sim.parallel.ShardedEngine` trusts its workers
-completely — a hung worker blocks ``advance`` forever and a crashed one
-aborts the run. This module wraps the same worker protocol in a
-supervision tree so that coarse monitoring infrastructure *degrades,
-never deadlocks* (the paper's operational premise, applied to the grid
-layer the ROADMAP's heavy-traffic north-star rides on):
+:class:`SupervisedShardedEngine` is the one multi-shard grid engine (the
+grid names ``"supervised"``, ``"sharded"`` and ``"fleet"`` all build
+it). Nodes partition over persistent worker agents, one disjoint
+:class:`~repro.sim.parallel.Shard` each, behind a pluggable
+:class:`~repro.sim.transport.ShardTransport`; machines are built inside
+the agent from (spec, seed) and each epoch costs one compact message
+round-trip per worker. Around that protocol sits a supervision tree, so
+that coarse monitoring infrastructure *degrades, never deadlocks* (the
+paper's operational premise, applied to the grid layer):
 
 1. **Detect** — every worker round-trip gets an epoch deadline
    (poll-with-timeout recv) and a liveness check (exitcode / pipe
@@ -22,11 +25,23 @@ layer the ROADMAP's heavy-traffic north-star rides on):
    epoch (a poison epoch) is adopted by an in-process
    :class:`~repro.sim.parallel.Shard` owned by the supervisor; the run
    continues with serial semantics for that shard only.
-4. **Degrade** — when the global restart budget is exhausted the whole
-   engine degrades to serial semantics (every shard adopted) instead of
-   failing the run.
+4. **Degrade** — when a host's worker restart budget is exhausted the
+   host degrades to serial semantics (every one of its shards adopted)
+   instead of failing the run.
+5. **Resurrect hosts** — with a host tier (``hosts`` given, the
+   ``"fleet"`` engine) a degraded host is torn down and rebuilt from its
+   slots' own journals, up to ``Supervision.host_restart_budget`` times;
+   past that it stays degraded-but-correct.
 
-Chaos. :class:`GridFaultPlan` mirrors PR 2's ``repro.perf.faults``: a
+Node placement. With ``H`` hosts of ``W_h = workers // H`` slots each,
+node *i* goes to host ``i % H`` and then to slot ``(i // H) % W_h``
+within it; its global worker id is ``host * W_h + slot`` and its seed
+``base_seed + i``. For 8 nodes on 2 hosts of 2 slots the ids run
+0, 2, 1, 3, 0, 2, 1, 3. Without a host tier ``H = 1`` and node *i*
+goes to worker ``i % workers``. Chaos schedules and event logs key on
+the global ids, so they do not depend on the transport.
+
+Chaos. :class:`GridFaultPlan` mirrors ``repro.perf.faults``: a
 seeded, stateless, picklable plan executed *inside* the worker loop.
 ``decide(worker, epoch, incarnation)`` hashes its arguments (crc32, like
 ``FaultPlan``) so the schedule is a pure function of the seed —
@@ -50,8 +65,9 @@ digest stays bitwise-equal to the serial engine's.
 Determinism of the event log. Supervisor events carry only values that
 are pure functions of (scenario, seed, chaos plan): worker index, epoch
 number, failure kind, incarnation, replayed-epoch counts, configured
-backoff. Wall-clock times and OS exit codes are kept out so two runs of
-the same chaos seed produce identical logs.
+backoff, and (under a host tier) the host. Wall-clock times and OS exit
+codes are kept out so two runs of the same chaos seed produce identical
+logs. Events are appended in the order they happen.
 """
 
 from __future__ import annotations
@@ -61,7 +77,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError, SimulationError, WorkerFailure
-from repro.sim.parallel import Shard, _entry_list
+from repro.sim.parallel import Shard, supervision_stats
 from repro.sim.transport import CRASH_EXIT, make_transport
 from repro.util.backoff import BackoffPolicy
 
@@ -191,13 +207,16 @@ class Supervision:
     Attributes:
         deadline: seconds a worker may take to answer one round-trip
             before it is declared hung.
-        restart_budget: total restarts across all workers before the
-            engine degrades to serial semantics.
+        restart_budget: worker restarts one host may spend before it
+            degrades to serial semantics.
         poison_limit: consecutive failures on one epoch before the shard
             is adopted in-process instead of restarted again.
         backoff_base: first restart's backoff sleep; doubles per
             consecutive failure on the same epoch.
         backoff_cap: upper bound on any single backoff sleep.
+        host_restart_budget: under a host tier, how many times one
+            degraded host is resurrected from its slots' journals
+            before it is left degraded-but-correct.
     """
 
     deadline: float = 30.0
@@ -205,6 +224,7 @@ class Supervision:
     poison_limit: int = 3
     backoff_base: float = 0.05
     backoff_cap: float = 1.0
+    host_restart_budget: int = 4
 
     def __post_init__(self) -> None:
         if self.deadline <= 0:
@@ -215,11 +235,13 @@ class Supervision:
             raise ConfigError("poison_limit must be >= 1")
         if self.backoff_base < 0 or self.backoff_cap < 0:
             raise ConfigError("backoff values must be >= 0")
+        if self.host_restart_budget < 0:
+            raise ConfigError("host_restart_budget must be >= 0")
 
     def policy(self) -> BackoffPolicy:
         """The restart ladder as the shared retry shape.
 
-        The supervisor, the fleet and the serve client all sleep through
+        The grid supervisor and the serve client both sleep through
         :class:`~repro.util.backoff.BackoffPolicy`, so the ladders cannot
         drift apart; the values recorded in the event log are exactly
         ``policy().delay(attempt)``.
@@ -245,11 +267,15 @@ _REPORT_KEYS = frozenset(
 )
 
 
+
+
 @dataclass
 class _WorkerState:
     """Supervisor-side bookkeeping for one worker slot."""
 
+    #: Global worker id: the chaos link id and the id events report.
     index: int
+    host: "_Host"
     entries: list[tuple["NodeSpec", int]]
     transport: Any = None
     incarnation: int = 0
@@ -257,20 +283,32 @@ class _WorkerState:
     journal: list[tuple[list, int, float]] = field(default_factory=list)
     #: In-process shard once adopted (poison epoch or degrade).
     shard: Shard | None = None
-    sent: bool = False
+
+
+@dataclass
+class _Host:
+    """One failure domain: its slots, worker restart budget and degrade
+    flag. Under a host tier a degraded host is resurrected whole."""
+
+    index: int
+    slots: list[_WorkerState] = field(default_factory=list)
+    #: Worker restarts charged to this host since it was (re)built.
+    restarts: int = 0
+    degraded: bool = False
+    #: Times this host was resurrected.
+    resurrections: int = 0
 
 
 class SupervisedShardedEngine:
-    """The sharded engine under a supervision tree.
+    """Persistent shard workers under a supervision tree.
 
-    Same node-to-worker assignment and per-epoch message protocol as
-    :class:`~repro.sim.parallel.ShardedEngine` — and therefore the same
-    bitwise results — but every round-trip is deadline-checked and every
-    failure walks the detect → restart/replay → adopt → degrade ladder.
-    ``Grid.run_for`` never deadlocks and never aborts on a worker death.
+    Nodes partition over worker slots grouped into hosts (see the module
+    docstring for the mapping). Every round-trip is deadline-checked and
+    every failure walks the detect → restart/replay → adopt → degrade
+    ladder, so ``Grid.run_for`` never deadlocks and never aborts on a
+    worker death. ``hosts`` (None = one host, no host tier) adds the
+    top rung: a degraded host is resurrected from its slots' journals.
     """
-
-    name = "supervised"
 
     def __init__(
         self,
@@ -279,101 +317,78 @@ class SupervisedShardedEngine:
         seed: int,
         workers: int,
         *,
+        hosts: int | None = None,
         chaos: GridFaultPlan | None = None,
         config: Supervision | None = None,
         transport: str = "fork",
-        seeds: list[int] | None = None,
-        prior_epochs: list[tuple[list, int, float]] | None = None,
-        worker_base: int = 0,
         netchaos: "NetChaosPlan | None" = None,
     ) -> None:
         if workers < 1:
             raise SimulationError(
                 f"supervised engine needs >= 1 worker, got {workers}"
             )
-        self.workers = min(workers, len(specs))
+        if hosts is not None and hosts < 1:
+            raise SimulationError(f"hosts must be >= 1, got {hosts}")
+        #: An engine with a host tier reports itself as the fleet.
+        self.name = "supervised" if hosts is None else "fleet"
+        self.hosts = None if hosts is None else min(hosts, len(specs))
         self.config = config if config is not None else Supervision()
         self.chaos = chaos
         self.netchaos = netchaos
         self.tick = tick
         self.transport_name = transport
         self._policy = self.config.policy()
-        #: Offset added to each slot index to form the *global* worker id
-        #: (a fleet supervisor numbers workers across hosts): chaos
-        #: schedules, failure messages and event logs all use global ids,
-        #: so per-host logs stay distinct and transport-invariant.
-        self.worker_base = worker_base
-        #: Shared-nothing like the sharded engine: no in-process machines
-        #: are exposed, even for adopted shards (the public surface must
-        #: not depend on the failure history).
+        #: Shared-nothing: no in-process machines are exposed, even for
+        #: adopted shards (the public surface must not depend on the
+        #: failure history).
         self.nodes: dict[str, Any] = {}
-        self._node_worker: dict[str, int] = {}
         self.messages = 0
         #: Deterministic recovery log (no wall-times, no OS exit codes).
         self.events: list[dict[str, Any]] = []
-        self.stats: dict[str, Any] = {
-            "restarts": 0,
-            "replayed_epochs": 0,
-            "adopted_shards": 0,
-            "degraded": False,
-            "failures": {
-                "crash": 0, "hang": 0, "garbled": 0, "unreachable": 0,
-            },
-        }
-        self.degraded = False
-        self._send_failures: dict[int, WorkerFailure] = {}
-        entry_list = _entry_list(specs, seed, seeds)
+        self.stats = supervision_stats()
+        #: Links of resurrected hosts' old slots, kept for the counters.
+        self._retired: list = []
+        self._budget_spent = False
+        n_hosts = self.hosts or 1
+        per_host = max(1, workers // n_hosts)
+        self._hosts = [_Host(index=h) for h in range(n_hosts)]
         self._states: list[_WorkerState] = []
-        for w in range(self.workers):
-            entries = []
-            for index, entry in enumerate(entry_list):
-                if index % self.workers == w:
-                    entries.append(entry)
-                    self._node_worker[entry[0].name] = w
-            state = _WorkerState(index=w, entries=entries)
-            state.transport = make_transport(
-                transport, worker_base + w, entries, tick, chaos, netchaos
-            )
-            self._states.append(state)
-        # A fleet supervisor resurrecting a whole host passes the host's
-        # epoch history: split it into the per-shard journals *before*
-        # spawning, so every worker replays its past silently and its
-        # epoch counter starts beyond it — chaos that already fired can
-        # never refire during a host-level replay.
-        if prior_epochs:
-            for commands, n_ticks, frac in prior_epochs:
-                by_worker: dict[int, list] = {}
-                for cmd in commands:
-                    by_worker.setdefault(
-                        self._node_worker[cmd.node], []
-                    ).append(cmd)
-                for state in self._states:
-                    state.journal.append(
-                        (by_worker.get(state.index, []), n_ticks, frac)
-                    )
-        for state in self._states:
-            self._spawn(state, replay=list(state.journal))
-        for state in self._states:
+        self._node_slot: dict[str, _WorkerState] = {}
+        entries = [(spec, seed + i) for i, spec in enumerate(specs)]
+        for host in self._hosts:
+            members = entries[host.index::n_hosts]
+            n_slots = min(per_host, len(members))
+            for slot in range(n_slots):
+                state = _WorkerState(
+                    index=host.index * per_host + slot,
+                    host=host,
+                    entries=members[slot::n_slots],
+                )
+                state.transport = self._link(state)
+                host.slots.append(state)
+                self._states.append(state)
+                for spec, _ in state.entries:
+                    self._node_slot[spec.name] = state
+        self.workers = len(self._states)
+        self._start(self._states)
+
+    # -- worker lifecycle ---------------------------------------------------
+    def _link(self, state: _WorkerState):
+        return make_transport(
+            self.transport_name, state.index, state.entries, self.tick,
+            self.chaos, self.netchaos,
+        )
+
+    def _start(self, states: list[_WorkerState]) -> None:
+        """Spawn each slot's agent from its journal, then take every
+        ready handshake; a startup failure is recovered at once."""
+        for state in states:
+            state.transport.spawn(list(state.journal), state.incarnation)
+        for state in states:
             try:
                 self._await_ready(state, replayed=len(state.journal))
             except WorkerFailure as fail:
-                # Startup failure (not chaos-injected — chaos only fires
-                # on advance): recover immediately, no report pending.
                 self._recover(state, fail, need_report=False)
-
-    # -- worker lifecycle ---------------------------------------------------
-    def _gid(self, state: _WorkerState) -> int:
-        """Global worker id of one slot (fleet-wide numbering)."""
-        return self.worker_base + state.index
-
-    def _spawn(self, state: _WorkerState, replay: list) -> None:
-        state.transport.spawn(replay, state.incarnation)
-
-    def _reap(self, state: _WorkerState) -> None:
-        """Tear one worker down for good (terminate → kill ladder — a
-        hung worker ignores SIGTERM); the transport keeps whatever it
-        needs to spawn a fresh incarnation."""
-        state.transport.reap()
 
     def _await_ready(self, state: _WorkerState, replayed: int) -> None:
         # Replay costs real simulation work; scale the handshake deadline
@@ -383,9 +398,9 @@ class SupervisedShardedEngine:
         payload = self._recv(state, timeout)
         if payload != "ready":
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent a bad ready handshake: "
+                f"grid worker {state.index} sent a bad ready handshake: "
                 f"{payload!r}",
-                worker=self._gid(state),
+                worker=state.index,
                 kind="garbled",
             )
 
@@ -404,8 +419,8 @@ class SupervisedShardedEngine:
             raise SimulationError(f"grid worker failed: {payload}")
         if tag != "ok":
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent unknown tag {tag!r}",
-                worker=self._gid(state),
+                f"grid worker {state.index} sent unknown tag {tag!r}",
+                worker=state.index,
                 kind="garbled",
             )
         return payload
@@ -414,25 +429,36 @@ class SupervisedShardedEngine:
         payload = self._recv(state, self.config.deadline)
         if not (isinstance(payload, dict) and _REPORT_KEYS <= payload.keys()):
             raise WorkerFailure(
-                f"grid worker {self._gid(state)} sent a garbled epoch report",
-                worker=self._gid(state),
+                f"grid worker {state.index} sent a garbled epoch report",
+                worker=state.index,
                 kind="garbled",
             )
         return payload
 
     # -- the recovery ladder ------------------------------------------------
-    def _note_failure(self, fail: WorkerFailure, epoch: int) -> None:
+    def _log(self, host: _Host, event: dict[str, Any]) -> None:
+        """Append one recovery event, tagged with its host when the
+        engine has a host tier."""
+        if self.hosts is not None:
+            event["host"] = host.index
+        self.events.append(event)
+
+    def _note_failure(
+        self, state: _WorkerState, fail: WorkerFailure, epoch: int
+    ) -> None:
         self.stats["failures"][fail.kind] += 1
-        self.events.append(
-            {"event": fail.kind, "worker": fail.worker, "epoch": epoch}
+        self._log(
+            state.host,
+            {"event": fail.kind, "worker": fail.worker, "epoch": epoch},
         )
 
-    def _degrade(self, worker: int, epoch: int) -> None:
-        if not self.degraded:
-            self.degraded = True
+    def _degrade(self, state: _WorkerState, epoch: int) -> None:
+        host = state.host
+        if not host.degraded:
+            host.degraded = True
             self.stats["degraded"] = True
-            self.events.append(
-                {"event": "degrade", "worker": worker, "epoch": epoch}
+            self._log(
+                host, {"event": "degrade", "worker": state.index, "epoch": epoch}
             )
 
     def _adopt(
@@ -445,7 +471,7 @@ class SupervisedShardedEngine:
         failing epoch's report is still owed (it is then advanced live
         and its report returned).
         """
-        self._reap(state)
+        state.transport.reap()
         shard = Shard(state.entries, self.tick)
         replay = state.journal[:-1] if need_report else state.journal
         for commands, n_ticks, frac in replay:
@@ -453,18 +479,18 @@ class SupervisedShardedEngine:
         state.shard = shard
         self.stats["replayed_epochs"] += len(replay)
         self.stats["adopted_shards"] += 1
-        self.events.append(
+        self._log(
+            state.host,
             {
                 "event": "adopt",
-                "worker": self._gid(state),
+                "worker": state.index,
                 "epoch": len(replay),
                 "reason": reason,
                 "replayed": len(replay),
-            }
+            },
         )
         if need_report:
-            commands, n_ticks, frac = state.journal[-1]
-            return shard.advance(commands, n_ticks, frac)
+            return shard.advance(*state.journal[-1])
         return None
 
     def _recover(
@@ -474,127 +500,147 @@ class SupervisedShardedEngine:
 
         Restart with journal replay under exponential backoff; adopt the
         shard in-process after ``poison_limit`` consecutive failures on
-        this same epoch; degrade the whole engine once the global restart
-        budget is spent. Always returns a usable epoch report when one is
-        owed — this method cannot fail the run.
+        this same epoch; degrade the slot's host once its restart budget
+        is spent. Always returns a usable epoch report when one is owed
+        — this method cannot fail the run.
         """
+        host = state.host
         epoch = len(state.journal) - 1 if need_report else len(state.journal)
         attempts = 0
         while True:
             attempts += 1
-            self._note_failure(fail, epoch)
-            self._reap(state)
+            self._note_failure(state, fail, epoch)
+            state.transport.reap()
             if attempts >= self.config.poison_limit:
-                self.events.append(
+                self._log(
+                    host,
                     {
                         "event": "poison",
-                        "worker": self._gid(state),
+                        "worker": state.index,
                         "epoch": epoch,
                         "attempts": attempts,
-                    }
+                    },
                 )
                 return self._adopt(state, need_report, reason="poison")
-            if self.stats["restarts"] >= self.config.restart_budget:
-                self._degrade(self._gid(state), epoch)
+            if host.restarts >= self.config.restart_budget:
+                self._degrade(state, epoch)
                 return self._adopt(state, need_report, reason="degrade")
             backoff = self._policy.sleep(attempts)
+            host.restarts += 1
             self.stats["restarts"] += 1
             state.incarnation += 1
             replay = state.journal[:-1] if need_report else list(state.journal)
             self.stats["replayed_epochs"] += len(replay)
-            self.events.append(
+            self._log(
+                host,
                 {
                     "event": "restart",
-                    "worker": self._gid(state),
+                    "worker": state.index,
                     "epoch": epoch,
                     "incarnation": state.incarnation,
                     "replayed": len(replay),
                     "backoff": backoff,
-                }
+                },
             )
             try:
-                self._spawn(state, replay=replay)
+                state.transport.spawn(replay, state.incarnation)
                 self._await_ready(state, replayed=len(replay))
                 if not need_report:
                     return None
-                commands, n_ticks, frac = state.journal[-1]
-                self._send(state, ("advance", commands, n_ticks, frac))
+                self._send(state, ("advance",) + state.journal[-1])
                 return self._recv_report(state)
             except WorkerFailure as next_fail:
                 fail = next_fail
 
+    def _restart_host(self, host: _Host) -> None:
+        """The host tier: rebuild a degraded host's slots as fresh agents
+        replaying their own journals. Incarnations restart at 0 while
+        the epoch counters start past the replayed history, so chaos
+        that already fired never refires. Past ``host_restart_budget``
+        the host stays degraded-but-correct."""
+        epoch = len(host.slots[0].journal)
+        if host.resurrections >= self.config.host_restart_budget:
+            if not self._budget_spent:
+                self._budget_spent = True
+                self._log(host, {"event": "fleet-degrade", "epoch": epoch})
+            return
+        host.resurrections += 1
+        host.restarts = 0
+        host.degraded = False
+        self.stats["host_restarts"] += 1
+        self.stats["degraded"] = self.degraded
+        self._log(
+            host,
+            {
+                "event": "host-restart",
+                "epoch": epoch,
+                "replayed": epoch,
+                "restarts": host.resurrections,
+            },
+        )
+        _close_links([state.transport for state in host.slots])
+        for state in host.slots:
+            self._retired.append(state.transport)
+            state.transport = self._link(state)
+            state.incarnation = 0
+            state.shard = None
+        self._start(host.slots)
+
     # -- engine protocol ----------------------------------------------------
-    def begin_advance(self, commands: list, n_ticks: int, frac: float) -> None:
-        """Journal the epoch and ship it to every live worker.
-
-        Split from :meth:`finish_advance` so a fleet supervisor can start
-        *all* hosts' workers on an epoch before collecting any of them —
-        without the split, hosts would advance serially and the two-level
-        tree would forfeit the fan-out.
-        """
-        if self.degraded:
-            # Serial semantics: every shard in-process from here on.
-            for state in self._states:
-                if state.shard is None:
-                    self._adopt(state, need_report=False, reason="degrade")
-        by_worker: dict[int, list] = {}
-        for cmd in commands:
-            by_worker.setdefault(self._node_worker[cmd.node], []).append(cmd)
-        for state in self._states:
-            state.journal.append((by_worker.get(state.index, []), n_ticks, frac))
-        # Send to every live worker first so shards advance concurrently.
-        self._send_failures = {}
-        for state in self._states:
-            if state.shard is not None:
-                state.sent = False
-                continue
-            try:
-                self._send(state, ("advance",) + state.journal[-1])
-                state.sent = True
-            except WorkerFailure as fail:
-                state.sent = False
-                self._send_failures[state.index] = fail
-
-    def finish_advance(self) -> list[dict[str, Any]]:
-        """Collect every worker's epoch report, recovering as needed.
-
-        Adopted shards advance here, between the send and the recv
-        phases, so their work overlaps the workers' like a shard's would.
-        Reports have disjoint job/node keys; order is immaterial to the
-        grid's merge.
-        """
-        reports: list[dict[str, Any]] = []
-        for state in self._states:
-            if state.shard is not None:
-                cmds, nt, fr = state.journal[-1]
-                reports.append(state.shard.advance(cmds, nt, fr))
-                continue
-            if not state.sent:
-                reports.append(
-                    self._recover(
-                        state, self._send_failures[state.index],
-                        need_report=True,
-                    )
-                )
-                continue
-            try:
-                reports.append(self._recv_report(state))
-            except WorkerFailure as fail:
-                reports.append(self._recover(state, fail, need_report=True))
-        return reports
-
     def advance(
         self, commands: list, n_ticks: int, frac: float
     ) -> list[dict[str, Any]]:
-        self.begin_advance(commands, n_ticks, frac)
-        return self.finish_advance()
+        """Journal the epoch per slot, ship it to every live worker, then
+        collect every report, recovering as needed.
+
+        Every send goes out before the first recv, so all shards (on
+        every host) advance concurrently; adopted shards advance in the
+        collect loop, overlapping the workers. Reports have disjoint
+        job/node keys; order is immaterial to the grid's merge. Degraded
+        hosts are resurrected after the collect: they still returned
+        correct serial reports for this epoch.
+        """
+        for host in self._hosts:
+            if host.degraded:
+                # Serial semantics for the host's every shard from here.
+                for state in host.slots:
+                    if state.shard is None:
+                        self._adopt(state, need_report=False, reason="degrade")
+        by_slot: dict[int, list] = {}
+        for cmd in commands:
+            by_slot.setdefault(self._node_slot[cmd.node].index, []).append(cmd)
+        for state in self._states:
+            state.journal.append((by_slot.get(state.index, []), n_ticks, frac))
+        send_failures: dict[int, WorkerFailure] = {}
+        for state in self._states:
+            if state.shard is None:
+                try:
+                    self._send(state, ("advance",) + state.journal[-1])
+                except WorkerFailure as fail:
+                    send_failures[state.index] = fail
+        reports: list[dict[str, Any]] = []
+        for state in self._states:
+            if state.shard is not None:
+                reports.append(state.shard.advance(*state.journal[-1]))
+                continue
+            fail = send_failures.get(state.index)
+            if fail is None:
+                try:
+                    reports.append(self._recv_report(state))
+                    continue
+                except WorkerFailure as recv_fail:
+                    fail = recv_fail
+            reports.append(self._recover(state, fail, need_report=True))
+        if self.hosts is not None:
+            for host in self._hosts:
+                if host.degraded:
+                    self._restart_host(host)
+        return reports
 
     def process_of(self, job_id: int) -> None:
         return None
 
     def snapshot(self, node: str) -> dict[str, Any]:
-        if node not in self._node_worker:
-            raise SimulationError(f"no node {node!r}")
         return self.snapshot_many([node])[node]
 
     def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
@@ -602,35 +648,41 @@ class SupervisedShardedEngine:
         per node. A failed worker is adopted and serves from the replayed
         shard — the journal is fully collected between epochs, so
         adoption resurrects the exact current state."""
-        by_worker: dict[int, list[str]] = {}
+        by_slot: dict[int, tuple[_WorkerState, list[str]]] = {}
         for name in names:
-            worker = self._node_worker.get(name)
-            if worker is None:
+            state = self._node_slot.get(name)
+            if state is None:
                 raise SimulationError(f"no node {name!r}")
-            by_worker.setdefault(worker, []).append(name)
+            by_slot.setdefault(state.index, (state, []))[1].append(name)
         out: dict[str, dict[str, Any]] = {}
-        for worker, group in by_worker.items():
-            state = self._states[worker]
-            if state.shard is not None:
-                out.update(state.shard.snapshot_many(group))
-                continue
-            try:
-                self._send(state, ("snapshot", group))
-                out.update(self._recv(state, self.config.deadline))
-            except WorkerFailure as fail:
-                self._note_failure(fail, epoch=len(state.journal))
-                self._adopt(state, need_report=False, reason="snapshot")
-                out.update(state.shard.snapshot_many(group))
+        for state, group in by_slot.values():
+            if state.shard is None:
+                try:
+                    self._send(state, ("snapshot", group))
+                    out.update(self._recv(state, self.config.deadline))
+                    continue
+                except WorkerFailure as fail:
+                    self._note_failure(state, fail, epoch=len(state.journal))
+                    self._adopt(state, need_report=False, reason="snapshot")
+            out.update(state.shard.snapshot_many(group))
         return out
 
     # -- introspection / lifecycle ------------------------------------------
     @property
+    def degraded(self) -> bool:
+        """Some host is serving every one of its shards in-process."""
+        return any(host.degraded for host in self._hosts)
+
+    def _links(self) -> list:
+        return [s.transport for s in self._states] + self._retired
+
+    @property
     def bytes_sent(self) -> int:
-        return sum(s.transport.bytes_sent for s in self._states)
+        return sum(t.bytes_sent for t in self._links())
 
     @property
     def bytes_received(self) -> int:
-        return sum(s.transport.bytes_received for s in self._states)
+        return sum(t.bytes_received for t in self._links())
 
     @property
     def _procs(self) -> list:
@@ -656,14 +708,20 @@ class SupervisedShardedEngine:
         healed partition by a superseded incarnation — that without
         fencing would have been merged as a second application of its
         epoch."""
-        return sum(s.transport.fenced_rejected for s in self._states)
+        return sum(t.fenced_rejected for t in self._links())
 
     def net_faults(self) -> int:
         """Round-trips the net-chaos plan faulted across all links."""
-        return sum(s.transport.net_faults for s in self._states)
+        return sum(t.net_faults for t in self._links())
 
     def close(self) -> None:
-        for state in self._states:
-            state.transport.request_close()
-        for state in self._states:
-            state.transport.finish_close(grace=2.0)
+        _close_links([s.transport for s in self._states])
+
+
+def _close_links(links: list) -> None:
+    """Ask every agent to exit first, then join them: teardown costs one
+    grace period, not one per worker."""
+    for link in links:
+        link.request_close()
+    for link in links:
+        link.finish_close(grace=2.0)

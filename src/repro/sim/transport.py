@@ -302,8 +302,8 @@ class ShardTransport:
     accounting, the closed-state contract, network-chaos injection and
     epoch fencing are shared and live in the public :meth:`spawn` /
     :meth:`send` / :meth:`recv` wrappers. ``worker_id`` is the *global*
-    worker index (fleet supervisors offset it per host) used in failure
-    messages and as the chaos *link* id.
+    worker index (``host * slots_per_host + slot`` under a host tier)
+    used in failure messages and as the chaos *link* id.
     """
 
     kind = "base"

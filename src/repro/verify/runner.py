@@ -555,33 +555,25 @@ def run_grid(
             grid.run_for(scenario.span - grid.now)
         digest = grid.conformance_digest()
     finally:
-        procs = list(getattr(grid.engine, "_procs", []))
+        procs = list(grid.engine._procs)
         grid.close()
-    sup_stats = getattr(grid.engine, "stats", {})
     engine_obj = grid.engine
+    sup_stats = engine_obj.stats
     meta = {
         "engine": engine,
         "events": grid.supervisor_events,
         "stats": {
             **{
-                k: sup_stats.get(k, 0)
+                k: sup_stats[k]
                 for k in ("restarts", "replayed_epochs", "adopted_shards")
             },
-            "degraded": bool(sup_stats.get("degraded", False)),
-            "failures": dict(sup_stats.get("failures", {})),
+            "degraded": sup_stats["degraded"],
+            "failures": dict(sup_stats["failures"]),
             # Split-brain observables: injected link faults and the
             # stale replies the epoch fence rejected (0 on clean runs
-            # and on engines without a supervision tree).
-            "net_faults": (
-                engine_obj.net_faults()
-                if hasattr(engine_obj, "net_faults")
-                else 0
-            ),
-            "fenced_replies": (
-                engine_obj.fenced_replies()
-                if hasattr(engine_obj, "fenced_replies")
-                else 0
-            ),
+            # and on the in-process engines).
+            "net_faults": engine_obj.net_faults(),
+            "fenced_replies": engine_obj.fenced_replies(),
         },
         "leaked_workers": sum(1 for p in procs if p.is_alive()),
     }

@@ -1,11 +1,11 @@
 """Fleet engine equivalence, host resurrection, and SGE-style preemption.
 
-The two-level supervision tree (fleet supervisor over per-host
-supervised engines) must be a pure failure-domain knob: for any fleet,
-seed and churn script, ``Grid(hosts=N)`` is bitwise identical to the
-serial engine — with chaos on, with hosts dying and being resurrected
-from the fleet journal, and with the restart budget exhausted (the host
-stays degraded-but-correct). Preemption is part of the dispatch state
+The host tier of the supervised engine (worker slots grouped into hosts,
+each with its own restart budget) must be a pure failure-domain knob:
+for any fleet, seed and churn script, ``Grid(hosts=N)`` is bitwise
+identical to the serial engine — with chaos on, with hosts degrading and
+being resurrected from their slots' journals, and with the host restart
+budget exhausted (the host stays degraded-but-correct). Preemption is part of the dispatch state
 machine, so it too must decide identically on every engine.
 """
 
@@ -14,8 +14,7 @@ import random
 import pytest
 
 from repro.core.cli import main
-from repro.errors import SimulationError
-from repro.sim.fleet import FleetEngine, FleetSupervision
+from repro.errors import ConfigError, SimulationError
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.supervisor import GridFaultPlan, Supervision
 from repro.sim.workloads import datacenter
@@ -104,8 +103,6 @@ class TestFleetEquivalence:
     def test_hosts_validation(self):
         with pytest.raises(SimulationError, match="hosts must be >= 1"):
             Grid(_fleet(), _queues(), workers=2, hosts=0)
-        with pytest.raises(SimulationError, match="require the fleet engine"):
-            Grid(_fleet(), _queues(), workers=2, engine="sharded", hosts=2)
 
     def test_fleet_stats_aggregate_host_counters(self):
         with Grid(_fleet(), _queues(), tick=1.0, seed=2, workers=4,
@@ -129,8 +126,8 @@ class TestHostResurrection:
 
     def test_degraded_host_is_restarted_from_the_fleet_journal(self):
         # Worker restart budget 0: the first worker fault degrades its
-        # host engine, which the fleet tier then tears down and
-        # resurrects by journal replay — and the digest still matches.
+        # host, which the host tier then tears down and resurrects by
+        # journal replay — and the digest still matches.
         reference = _digest(7, "serial")
         chaos = GridFaultPlan.from_seed(1, intensity=8.0)
         tight = Supervision(deadline=0.5, backoff_base=0.0,
@@ -150,15 +147,10 @@ class TestHostResurrection:
         reference = _digest(7, "serial")
         chaos = GridFaultPlan.from_seed(1, intensity=8.0)
         tight = Supervision(deadline=0.5, backoff_base=0.0,
-                            restart_budget=0)
-        engine_kw = dict(
-            hosts=2, transport="inproc", chaos=chaos, config=tight,
-            fleet=FleetSupervision(host_restart_budget=0),
-        )
+                            restart_budget=0, host_restart_budget=0)
         grid = Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=4,
-                    hosts=2)
-        grid.engine.close()
-        grid.engine = FleetEngine(_fleet(), 1.0, 7, 4, **engine_kw)
+                    hosts=2, transport="inproc", grid_chaos=chaos,
+                    supervision=tight)
         try:
             _churn(grid, 7)
             assert grid.engine.degraded
@@ -170,8 +162,128 @@ class TestHostResurrection:
             grid.close()
 
     def test_fleet_supervision_validation(self):
-        with pytest.raises(SimulationError, match="host_restart_budget"):
-            FleetSupervision(host_restart_budget=-1)
+        with pytest.raises(ConfigError, match="host_restart_budget"):
+            Supervision(host_restart_budget=-1)
+
+
+
+def _host_log(events, host):
+    """One host's recovery events in epoch order (a stable sort: events
+    of one epoch keep their emission order)."""
+    mine = [
+        {k: v for k, v in e.items() if k != "host"}
+        for e in events
+        if e.get("host") == host
+    ]
+    return sorted(mine, key=lambda e: e["epoch"])
+
+
+def _worker_ids(engine):
+    """node -> the global worker id its slot's link (and chaos) uses."""
+    return {
+        spec.name: state.transport.worker_id
+        for state in engine._states
+        for spec, _ in state.entries
+    }
+
+
+class TestFrozenFleetObservables:
+    """Observables of two seeded fleet runs, frozen as literals: which
+    global worker owns each node, each host's recovery log, and the
+    supervisor counters. Node i lives on host i % 2, slot (i // 2) % 2,
+    global worker host * 2 + slot — the ids chaos schedules key on."""
+
+    WORKER_IDS = {"a0": 0, "a1": 2, "a2": 1, "a3": 3}
+    RESURRECTED_0 = [
+        {"event": "crash", "worker": 0, "epoch": 0},
+        {"event": "degrade", "worker": 0, "epoch": 0},
+        {"event": "adopt", "worker": 0, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "crash", "worker": 1, "epoch": 0},
+        {"event": "adopt", "worker": 1, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "host-restart", "epoch": 1, "replayed": 1, "restarts": 1},
+        {"event": "crash", "worker": 0, "epoch": 1},
+        {"event": "degrade", "worker": 0, "epoch": 1},
+        {"event": "adopt", "worker": 0, "epoch": 1,
+         "reason": "degrade", "replayed": 1},
+        {"event": "crash", "worker": 1, "epoch": 1},
+        {"event": "adopt", "worker": 1, "epoch": 1,
+         "reason": "degrade", "replayed": 1},
+        {"event": "host-restart", "epoch": 2, "replayed": 2, "restarts": 2},
+    ]
+    RESURRECTED_1 = [
+        {"event": "hang", "worker": 2, "epoch": 0},
+        {"event": "degrade", "worker": 2, "epoch": 0},
+        {"event": "adopt", "worker": 2, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "hang", "worker": 3, "epoch": 0},
+        {"event": "adopt", "worker": 3, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "host-restart", "epoch": 1, "replayed": 1, "restarts": 1},
+        {"event": "crash", "worker": 2, "epoch": 1},
+        {"event": "degrade", "worker": 2, "epoch": 1},
+        {"event": "adopt", "worker": 2, "epoch": 1,
+         "reason": "degrade", "replayed": 1},
+        {"event": "hang", "worker": 3, "epoch": 1},
+        {"event": "adopt", "worker": 3, "epoch": 1,
+         "reason": "degrade", "replayed": 1},
+        {"event": "host-restart", "epoch": 2, "replayed": 2, "restarts": 2},
+    ]
+    NO_BUDGET_0 = [
+        {"event": "crash", "worker": 0, "epoch": 0},
+        {"event": "degrade", "worker": 0, "epoch": 0},
+        {"event": "adopt", "worker": 0, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "crash", "worker": 1, "epoch": 0},
+        {"event": "adopt", "worker": 1, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "fleet-degrade", "epoch": 1},
+    ]
+    NO_BUDGET_1 = [
+        {"event": "hang", "worker": 2, "epoch": 0},
+        {"event": "degrade", "worker": 2, "epoch": 0},
+        {"event": "adopt", "worker": 2, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+        {"event": "hang", "worker": 3, "epoch": 0},
+        {"event": "adopt", "worker": 3, "epoch": 0,
+         "reason": "degrade", "replayed": 0},
+    ]
+
+    def _run(self, **budget):
+        chaos = GridFaultPlan.from_seed(1, intensity=8.0)
+        tight = Supervision(deadline=0.5, backoff_base=0.0,
+                            restart_budget=0, **budget)
+        with Grid(_fleet(), _queues(), tick=1.0, seed=7, workers=4,
+                  hosts=2, transport="inproc", grid_chaos=chaos,
+                  supervision=tight) as grid:
+            _churn(grid, 7)
+            stats = {
+                k: grid.stats[k]
+                for k in ("restarts", "replayed_epochs", "adopted_shards",
+                          "host_restarts", "worker_failures", "degraded")
+            }
+            return _worker_ids(grid.engine), grid.supervisor_events, stats
+
+    def test_resurrected_hosts(self):
+        ids, events, stats = self._run()
+        assert ids == self.WORKER_IDS
+        assert _host_log(events, 0) == self.RESURRECTED_0
+        assert _host_log(events, 1) == self.RESURRECTED_1
+        assert stats == {
+            "restarts": 0, "replayed_epochs": 4, "adopted_shards": 8,
+            "host_restarts": 4, "worker_failures": 8, "degraded": False,
+        }
+
+    def test_no_host_budget(self):
+        ids, events, stats = self._run(host_restart_budget=0)
+        assert ids == self.WORKER_IDS
+        assert _host_log(events, 0) == self.NO_BUDGET_0
+        assert _host_log(events, 1) == self.NO_BUDGET_1
+        assert stats == {
+            "restarts": 0, "replayed_epochs": 0, "adopted_shards": 4,
+            "host_restarts": 0, "worker_failures": 4, "degraded": True,
+        }
 
 
 class TestPreemption:

@@ -119,6 +119,47 @@ class TestInherit:
         assert b.read(h).value > 0
 
 
+
+class TestTaskLookup:
+    """Direct pid/tid lookup: same errors, in the same order, as a scan
+    of every process ever spawned."""
+
+    def test_dead_secondary_thread(self, nehalem_machine, endless_workload):
+        p = nehalem_machine.spawn("mt", endless_workload, nthreads=2)
+        b = SimBackend(nehalem_machine)
+        nehalem_machine.kill(p.pid)
+        with pytest.raises(NoSuchTaskError, match="has exited"):
+            b.open(resolve_event("cycles"), p.threads[1].tid)
+
+    def test_secondary_thread_permission_checked_first(
+        self, nehalem_machine, endless_workload
+    ):
+        p = nehalem_machine.spawn("mt", endless_workload, nthreads=2,
+                                  uid=1001)
+        stranger = SimBackend(nehalem_machine, monitor_uid=2002)
+        with pytest.raises(PerfPermissionError):
+            stranger.open(resolve_event("cycles"), p.threads[1].tid)
+        nehalem_machine.kill(p.pid)
+        with pytest.raises(PerfPermissionError):
+            stranger.open(resolve_event("cycles"), p.threads[1].tid)
+
+    def test_unknown_tid_after_many_dead_processes(
+        self, nehalem_machine, endless_workload
+    ):
+        b = SimBackend(nehalem_machine)
+        for i in range(200):
+            p = nehalem_machine.spawn(f"j{i}", endless_workload, nthreads=2)
+            nehalem_machine.kill(p.pid)
+        with pytest.raises(NoSuchTaskError, match="no such task"):
+            b.open(resolve_event("cycles"), 424242)
+        with pytest.raises(NoSuchTaskError, match="has exited"):
+            b.open(resolve_event("cycles"), p.threads[1].tid)
+        live = nehalem_machine.spawn("live", endless_workload, nthreads=2)
+        h = b.open(resolve_event("cycles"), live.threads[1].tid)
+        nehalem_machine.run_for(0.5)
+        assert b.read(h).value > 0
+
+
 class TestCounterSemantics:
     def test_events_only_after_attach(self, machine, backend):
         """Monitoring can start at any time; only later events are seen."""

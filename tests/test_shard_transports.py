@@ -17,7 +17,8 @@ import pytest
 
 from repro.errors import SimulationError, WorkerFailure
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
-from repro.sim.parallel import ShardedEngine, SpawnCmd, TRANSPORT_NAMES
+from repro.sim.parallel import SpawnCmd, TRANSPORT_NAMES
+from repro.sim.supervisor import SupervisedShardedEngine
 from repro.sim.transport import make_transport
 from repro.sim.workloads import datacenter
 
@@ -121,8 +122,8 @@ class TestChurnEquivalence:
 class TestSnapshotBatching:
     @pytest.mark.parametrize("name", TRANSPORT_NAMES)
     def test_snapshot_many_is_one_message_per_worker(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=3, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=3,
+                                         workers=2, transport=name)
         try:
             before = engine.messages
             snaps = engine.snapshot_many([s.name for s in _fleet()])
@@ -134,8 +135,8 @@ class TestSnapshotBatching:
 
     @pytest.mark.parametrize("name", TRANSPORT_NAMES)
     def test_single_snapshot_still_works(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=3, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=3,
+                                         workers=2, transport=name)
         try:
             snap = engine.snapshot("a1")
             assert {"counters", "procs", "now"} <= set(snap)
@@ -177,8 +178,8 @@ class TestBytesAccounting:
             engine.advance([], 2, 0.0)
 
     def test_inproc_moves_zero_bytes(self):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=5, workers=2,
-                               transport="inproc")
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=5,
+                                         workers=2, transport="inproc")
         try:
             self._advance_epochs(engine)
             engine.snapshot_many(["a0", "a1", "a2"])
@@ -190,8 +191,8 @@ class TestBytesAccounting:
 
     @pytest.mark.parametrize("name", ["fork", "socket"])
     def test_process_fabrics_account_every_message(self, name):
-        engine = ShardedEngine(_fleet(), tick=1.0, seed=5, workers=2,
-                               transport=name)
+        engine = SupervisedShardedEngine(_fleet(), tick=1.0, seed=5,
+                                         workers=2, transport=name)
         try:
             self._advance_epochs(engine)
             sent_after_advance = engine.bytes_sent
@@ -260,8 +261,8 @@ class TestFactory:
 
     def test_engine_rejects_unknown_transport(self):
         with pytest.raises(SimulationError, match="unknown shard transport"):
-            ShardedEngine(_fleet(), tick=1.0, seed=0, workers=2,
-                          transport="bogus")
+            SupervisedShardedEngine(_fleet(), tick=1.0, seed=0, workers=2,
+                                    transport="bogus")
 
     def test_grid_rejects_unknown_transport(self):
         with pytest.raises(SimulationError, match="unknown shard transport"):
