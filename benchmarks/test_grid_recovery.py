@@ -7,17 +7,20 @@ benchmark drives the same datacenter-shaped mix as ``test_grid_scaling``
 through three configurations and records the sweep in
 ``BENCH_recovery.json``:
 
-* ``sharded-2`` — the unsupervised two-worker engine (baseline),
-* ``supervised-clean`` — supervision on, no faults (pure overhead),
+* ``serial`` — the in-process engine, no workers, nothing supervised
+  (baseline),
+* ``supervised-clean`` — two supervised workers, no faults (the cost of
+  worker shards plus supervision),
 * ``supervised-crash`` — seeded chaos kills worker 0 and garbles
   worker 1 mid-run (detection + restart + journal replay).
 
 All three must agree bitwise with the serial engine — asserted on every
 run, smoke or full (this is the CI guard that recovery is exact).
-Timing floors only apply to the full run: supervision overhead <= 1.5x
-the unsupervised engine, and the crashing run <= 5x the clean supervised
-run. ``REPRO_BENCH_SMOKE=1`` shrinks the sweep and skips the floors
-(shared runners make ratios unreliable).
+Timing floors only apply to the full run: the clean supervised run <= 1.5x
+the serial engine, and the crashing run <= 5x the clean supervised run.
+``REPRO_BENCH_SMOKE=1`` shrinks the sweep, skips the floors (shared
+runners make ratios unreliable) and writes ``BENCH_recovery_smoke.json``
+instead, leaving the committed full-run artifact alone.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_NODES = 4 if SMOKE else 8
 SPAN_SECONDS = 45.0 if SMOKE else 240.0
 REPEATS = 1 if SMOKE else 3
+OUT_NAME = "BENCH_recovery_smoke.json" if SMOKE else "BENCH_recovery.json"
 SUPERVISION_MAX_OVERHEAD = 1.5
 RECOVERY_MAX_OVERHEAD = 5.0
 
@@ -54,7 +58,7 @@ CHAOS = GridFaultPlan(
 SUPERVISION = Supervision(deadline=30.0, backoff_base=0.0)
 
 CONFIGS = (
-    ("sharded-2", "sharded", None),
+    ("serial", "serial", None),
     ("supervised-clean", "supervised", None),
     ("supervised-crash", "supervised", CHAOS),
 )
@@ -65,11 +69,12 @@ def run_config(engine: str, chaos: GridFaultPlan | None):
     best = float("inf")
     digest = None
     stats: dict = {}
+    supervised = engine == "supervised"
     for _ in range(REPEATS):
-        with Grid(fleet(N_NODES), tick=1.0, seed=42, workers=2,
+        with Grid(fleet(N_NODES), tick=1.0, seed=42,
+                  workers=2 if supervised else 1,
                   engine=engine, grid_chaos=chaos,
-                  supervision=SUPERVISION if engine == "supervised"
-                  else None) as grid:
+                  supervision=SUPERVISION if supervised else None) as grid:
             populate(grid, N_NODES)
             t0 = time.perf_counter()
             grid.run_for(SPAN_SECONDS)
@@ -80,15 +85,12 @@ def run_config(engine: str, chaos: GridFaultPlan | None):
 
 
 def test_grid_recovery():
-    with Grid(fleet(N_NODES), tick=1.0, seed=42, workers=1,
-              engine="serial") as grid:
-        populate(grid, N_NODES)
-        grid.run_for(SPAN_SECONDS)
-        reference = grid.conformance_digest()
-
     results = {}
+    reference = None
     for label, engine, chaos in CONFIGS:
         seconds, digest, stats = run_config(engine, chaos)
+        if reference is None:  # the serial row comes first
+            reference = digest
         assert digest == reference, f"{label} diverged from serial"
         results[label] = (seconds, stats)
 
@@ -98,13 +100,13 @@ def test_grid_recovery():
     assert crash_stats["restarts"] == 2
     assert not crash_stats["degraded"]
 
-    baseline = results["sharded-2"][0]
+    baseline = results["serial"][0]
     clean = results["supervised-clean"][0]
     crash = results["supervised-crash"][0]
     overhead = clean / baseline
     recovery = crash / clean
     print(
-        f"\nsharded={baseline:.3f}s supervised={clean:.3f}s "
+        f"\nserial={baseline:.3f}s supervised={clean:.3f}s "
         f"({overhead:.2f}x) crash-run={crash:.3f}s ({recovery:.2f}x, "
         f"{crash_stats['replayed_epochs']} epochs replayed)"
     )
@@ -141,13 +143,13 @@ def test_grid_recovery():
         "recovery_overhead": round(recovery, 3),
     }
     OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "BENCH_recovery.json").write_text(
+    (OUT_DIR / OUT_NAME).write_text(
         json.dumps(payload, indent=2) + "\n"
     )
 
     if not SMOKE:
         assert overhead <= SUPERVISION_MAX_OVERHEAD, (
-            f"supervision costs {overhead:.2f}x over the unsupervised engine"
+            f"supervised workers cost {overhead:.2f}x over the serial engine"
         )
         assert recovery <= RECOVERY_MAX_OVERHEAD, (
             f"two kills + replay cost {recovery:.2f}x over a clean run"

@@ -7,7 +7,8 @@ most slots, a finite batch job per node, and a queued backlog that
 dispatches as slots free — through every engine and records the sweep in
 ``BENCH_grid.json``:
 
-* ``legacy`` — the pre-epoch sequential loop (baseline),
+* ``legacy`` — the pre-epoch sequential loop (baseline): the per-tick
+  reference grid of :mod:`repro.verify.reference`,
 * ``serial`` — in-process engine, epoch batching only (workers=1),
 * ``sharded-2`` / ``sharded-4`` — persistent worker shards.
 
@@ -25,8 +26,10 @@ the full run also asserts the wire floor: socket epoch p95 within 2x of
 fork at 64 nodes — the binary TTSV framing must stay in the same class
 as the pickled pipe, or the interning/codec has regressed.
 
-``REPRO_BENCH_SMOKE=1`` shrinks the sweep for CI and skips the speedup
-assertions (shared runners make ratios unreliable).
+``REPRO_BENCH_SMOKE=1`` shrinks the sweep for CI, skips the speedup
+assertions (shared runners make ratios unreliable) and writes
+``BENCH_grid_smoke.json`` instead, leaving the committed full-run
+artifact alone.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from _harness import OUT_DIR
 from repro.sim.arch import NEHALEM
 from repro.sim.grid import Grid, NodeSpec
 from repro.sim.workloads import datacenter
+from repro.verify.reference import build_grid
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 NODE_COUNTS = (4,) if SMOKE else (4, 16)
@@ -47,6 +51,9 @@ SPAN_SECONDS = 45.0 if SMOKE else 480.0
 REPEATS = 1 if SMOKE else 3
 SERIAL_MIN_SPEEDUP = 1.5
 SHARDED4_MIN_SPEEDUP = 3.0
+#: Smoke runs write a separate artifact so they never overwrite the
+#: committed full-run numbers.
+OUT_NAME = "BENCH_grid_smoke.json" if SMOKE else "BENCH_grid.json"
 
 ENGINES = (
     ("legacy", "legacy", 1),
@@ -120,8 +127,8 @@ def run_engine(label: str, engine: str, workers: int, n_nodes: int):
     observed = None
     epochs = 0
     for _ in range(REPEATS):
-        with Grid(fleet(n_nodes), tick=1.0, seed=42, workers=workers,
-                  engine=engine) as grid:
+        with build_grid(fleet(n_nodes), tick=1.0, seed=42, workers=workers,
+                        engine=engine) as grid:
             populate(grid, n_nodes)
             t0 = time.perf_counter()
             grid.run_for(SPAN_SECONDS)
@@ -187,7 +194,7 @@ def test_grid_scaling():
         "sweeps": sweeps,
     }
     OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "BENCH_grid.json").write_text(
+    (OUT_DIR / OUT_NAME).write_text(
         json.dumps(payload, indent=2) + "\n"
     )
 
@@ -306,7 +313,7 @@ def test_fleet_transport_sweep():
         )
 
     # Merge into the scaling payload so one artifact carries both sweeps.
-    out_path = OUT_DIR / "BENCH_grid.json"
+    out_path = OUT_DIR / OUT_NAME
     OUT_DIR.mkdir(exist_ok=True)
     payload = json.loads(out_path.read_text()) if out_path.exists() else {}
     payload["fleet"] = {

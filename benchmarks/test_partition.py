@@ -17,8 +17,10 @@ All three must agree bitwise with the serial engine on every run, smoke
 or full (the CI guard that recovery is exact). The timing floor only
 applies to the full run: a healed partition costs <= 5x the clean
 supervised run, measured per dispatched epoch so queue-shape noise
-cancels. ``REPRO_BENCH_SMOKE=1`` shrinks the sweep and skips the floor
-(shared runners make ratios unreliable).
+cancels. ``REPRO_BENCH_SMOKE=1`` shrinks the sweep, skips the floor
+(shared runners make ratios unreliable) and writes
+``BENCH_partition_smoke.json`` instead, leaving the committed full-run
+artifact alone.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 N_NODES = 4 if SMOKE else 8
 SPAN_SECONDS = 45.0 if SMOKE else 240.0
 REPEATS = 1 if SMOKE else 3
+OUT_NAME = "BENCH_partition_smoke.json" if SMOKE else "BENCH_partition.json"
 RECOVERY_MAX_OVERHEAD = 5.0
 
 SUPERVISION = Supervision(deadline=30.0, backoff_base=0.0)
@@ -166,7 +169,7 @@ def test_partition_recovery():
         "splitbrain_fencing_overhead": round(fencing, 3),
     }
     OUT_DIR.mkdir(exist_ok=True)
-    (OUT_DIR / "BENCH_partition.json").write_text(
+    (OUT_DIR / OUT_NAME).write_text(
         json.dumps(payload, indent=2) + "\n"
     )
 

@@ -1,5 +1,8 @@
 """Hot-path throughput: the columnar ``run_ticks`` kernel vs scalar ticks.
 
+The scalar side is the reference stepper :func:`repro.verify.reference.step`
+— the per-tick path the kernel replaced and must match bit for bit.
+
 The paper's tool promises monitoring overhead in the noise (§2.5); our
 bottleneck is the simulation itself. This benchmark drives two synthetic
 populations — the historical 200-process node and a 1000-process node,
@@ -39,6 +42,7 @@ from repro.sim.arch import NEHALEM
 from repro.sim.events import Event
 from repro.sim.machine import SimMachine
 from repro.sim.workloads import synthetic
+from repro.verify import reference
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
@@ -91,11 +95,9 @@ def _time_scalar(processes: int, warmup: int, measured: int) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         machine = build_machine(processes)
-        for _ in range(warmup):
-            machine._step(machine.tick)
+        reference.run_ticks(machine, warmup)
         t0 = time.perf_counter()
-        for _ in range(measured):
-            machine._step(machine.tick)
+        reference.run_ticks(machine, measured)
         best = min(best, time.perf_counter() - t0)
     return best / measured
 

@@ -162,13 +162,19 @@ class TipTop:
         timing = self.sampler.last_timing
         if timing is None:
             return
-        # Simulated hosts expose the node's RateCache; its hit rate is the
-        # leading indicator for batched-advance regressions.
+        # Simulated hosts report the node kernel's two memos as
+        # hits/misses/live entries: hit rates are the leading indicator for
+        # advance regressions, live entries for memo memory.
         cache = ""
         machine = getattr(self.host, "machine", None)
-        rate_cache = getattr(machine, "_rate_cache", None)
-        if rate_cache is not None:
-            cache = f" rate_cache={rate_cache.hits}/{rate_cache.misses}"
+        if machine is not None:
+            k = machine.kernel_stats()
+            cache = (
+                f" rate_cache={k['rate_cache_hits']}/{k['rate_cache_misses']}"
+                f"/{k['rate_cache_entries']}"
+                f" contention={k['contention_hits']}"
+                f"/{k['contention_misses']}/{k['contention_entries']}"
+            )
         print(
             f"profile: advance={self._advance_seconds * 1e3:8.2f}ms "
             f"read={timing.read_seconds * 1e3:7.2f}ms "

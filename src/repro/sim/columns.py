@@ -7,26 +7,30 @@ Two pieces live here:
   ``time_running``, enabled bit) as preallocated numpy columns. A
   :class:`~repro.sim.counters.KernelCounter` is a thin handle into one
   slot; ``read()`` paths serve straight from the accumulator columns.
-* :class:`ColumnKernel` — the batched tick engine behind
-  :meth:`SimMachine.run_ticks`. It mirrors the per-thread scheduling
-  state (tid, vruntime, runnable, duty, idle-sync arrears) into parallel
-  arrays so one fused pass per tick replaces the scalar path's sorted()
-  call, runnable list comprehension, and per-counter dict walks.
+* :class:`ColumnKernel` — the one tick engine: every
+  :class:`~repro.sim.machine.SimMachine` advance (``run_for``,
+  ``run_until``, ``run_ticks``) enters :meth:`ColumnKernel.run`. It
+  mirrors the per-thread scheduling state (tid, vruntime, runnable, duty,
+  idle-sync arrears) into parallel arrays so one fused pass per tick
+  replaces a sorted() call, a runnable list comprehension, and
+  per-counter dict walks.
 
 Bitwise-equivalence contract: the kernel must reproduce the scalar
-``_step`` path exactly, float by float and RNG draw by RNG draw. The
-vector code therefore only uses elementwise float64 operations (IEEE-754
-correctly rounded, hence identical to the scalar Python arithmetic it
-replaces), never reductions (which reassociate), and keeps every RNG
-draw — per-process CPI noise, duty-cycle gates, sampling loss — on the
-scalar code path in the scalar order. Any task shape the vector path
-cannot reproduce exactly (sampling counters, multiplexed or partially
-disabled counter sets) falls back to the scalar routines on the same
-objects, so correctness never depends on the fast path's coverage.
+reference stepper (``repro.verify.reference``) exactly, float by float
+and RNG draw by RNG draw. The vector code therefore only uses elementwise
+float64 operations (IEEE-754 correctly rounded, hence identical to the
+scalar Python arithmetic they replace), never reductions (which
+reassociate), and keeps every RNG draw — per-process CPI noise,
+duty-cycle gates, sampling loss — on a scalar code path in the
+reference's order. Counter sets the vector landing cannot reproduce
+exactly (sampling counters, multiplexed or partially disabled sets) take
+the same delta vector through :meth:`CounterTable.accrue`, so correctness
+never depends on which landing ran.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import TYPE_CHECKING
 
@@ -115,42 +119,50 @@ class CounterColumns:
         return int(self.in_use.sum())
 
 
-#: Dense code of ``Event.CYCLES`` — the one delta the scalar path computes
-#: with the per-tick noised CPI rather than the published per-instruction
-#: rate, so the kernel overwrites this vector lane after accumulating.
+#: Dense code of ``Event.CYCLES`` — the one delta the reference stepper
+#: computes with the per-tick noised CPI rather than the published
+#: per-instruction rate, so the kernel overwrites this vector lane after
+#: accumulating.
 _CYCLES_CODE = EVENT_CODE[Event.CYCLES]
+
+#: Events in dense-code order, for handing a delta vector to
+#: :meth:`CounterTable.accrue` as an event mapping.
+_EVENTS = tuple(EVENT_CODE)
 
 
 class ColumnKernel:
-    """Batched tick engine: one fused pass advances every scheduled task.
+    """The machine's tick engine: one fused pass advances every scheduled task.
 
-    Mirrors per-thread scheduling state into parallel arrays (slot order =
-    ``machine._threads`` insertion order, which is also the scalar path's
-    iteration order). One instance persists per machine so the per-event
-    scratch vectors are reused across ticks; the arrays themselves are
-    re-ingested at the start of every batch and after each timer boundary
-    (the only points where the thread population can change).
+    Every :class:`SimMachine` advance enters :meth:`run`. Per-thread
+    scheduling state is mirrored into parallel arrays whose slot order is
+    the spawn (``machine._threads`` insertion) order of the threads still
+    alive. The columns are maintained incrementally: at each batch start
+    and timer boundary — the only points where the population can change —
+    dead threads are dropped and new spawns appended, both in insertion
+    order, and the kept slots re-read their scheduling state from the
+    thread objects.
 
-    Equivalence with the scalar path, piece by piece:
+    Equivalence with the reference stepper (``repro.verify.reference``),
+    piece by piece:
 
-    * runnable scan — the scalar list comprehension over
+    * runnable scan — the reference's list comprehension over
       ``_threads.values()`` becomes a boolean column maintained at the
-      points where state changes (ingest, slice, reap); duty-cycle RNG
+      points where state changes (refresh, slice, reap); duty-cycle RNG
       draws stay scalar, in slot (= insertion) order, gated on the same
-      runnable test.
+      runnable test. Dropping dead slots keeps that relative order.
     * dispatch — :meth:`Scheduler.dispatch_columns` ranks candidates with
       one ``np.lexsort`` over the (vruntime, tid) columns; stable sort over
       unique tids reproduces ``sorted(key=(vruntime, tid))`` exactly, and
-      placement runs the shared scalar walk.
+      placement runs the scheduler's one placement walk.
     * idle arrears — per-task "ticks already accounted" lives in an int64
-      column; folds happen via :meth:`CounterTable.advance_idle` exactly
-      where the scalar ``sync_tid``/``sync_all`` would fold them.
-    * slice accrual — for tasks whose counter set is *simple* (all enabled,
-      none sampling, fits the PMU) the per-segment event deltas accumulate
-      in a dense float64 vector via elementwise ops (bitwise equal to the
-      scalar dict walk) and land on the counter columns with one fancy-
-      indexed add; anything else falls back to ``SimMachine._run_slice``
-      on the same objects.
+      column; folds happen via :meth:`CounterTable.advance_idle` right
+      before a task runs, before timer callbacks, and at batch end.
+    * slice accrual — the per-segment event deltas accumulate in a dense
+      float64 vector via elementwise ops (bitwise equal to the reference's
+      dict walk). For *simple* counter sets (all enabled, none sampling,
+      fits the PMU) the vector lands on the counter columns with one
+      fancy-indexed add; any other set takes it through
+      :meth:`CounterTable.accrue`, which owns multiplexing and sampling.
     """
 
     __slots__ = (
@@ -166,7 +178,7 @@ class ColumnKernel:
         "size",
         "fast_slices",
         "fallback_slices",
-        "_tid_list",
+        "_seen",
         "_dvec",
         "_seg",
     )
@@ -174,7 +186,6 @@ class ColumnKernel:
     def __init__(self, machine: SimMachine) -> None:
         self.machine = machine
         self.threads: list[SimThread] = []
-        self._tid_list: list[int] = []
         self.tids = np.empty(0, dtype=np.int64)
         self.vruntime = np.empty(0)
         self.runnable = np.empty(0, dtype=bool)
@@ -185,79 +196,93 @@ class ColumnKernel:
         self.size = 0
         self.fast_slices = 0
         self.fallback_slices = 0
+        #: How many of ``machine._threads`` (insertion order) are ingested.
+        self._seen = 0
         self._dvec = np.zeros(N_EVENT_CODES)
         self._seg = np.empty(N_EVENT_CODES)
 
     # -- column maintenance -------------------------------------------------
-    def _ingest(self, default_synced: int) -> None:
-        """(Re)build the columns from the machine's thread population.
+    def _refresh(self, new_synced: int) -> None:
+        """Bring the columns up to date with the machine's population.
 
-        ``default_synced`` is the arrears baseline for threads not seen
-        before: 0 at batch start, the current tick index for threads spawned
-        by a timer callback (matching the scalar path's
-        ``synced.setdefault(tid, t)`` after firing).
+        Drops threads that died since the last refresh, appends threads
+        spawned since then (arrears baseline ``new_synced``: the current
+        tick index for a timer-callback spawn, matching the reference's
+        per-tick accrual from the tick after the spawn), and re-reads the
+        kept threads' vruntime and state.
         """
         m = self.machine
-        carried: dict[int, int] = {}
-        if self.size:
-            carried = dict(zip(self._tid_list, self.synced.tolist()))
-        threads = list(m._threads.values())
+        threads = self.threads
+        kept = [i for i, t in enumerate(threads) if t.state is not TaskState.DEAD]
+        changed = len(kept) != len(threads)
+        if changed:
+            index = np.array(kept, dtype=np.intp)
+            threads = [threads[i] for i in kept]
+            self.tids = self.tids[index]
+            self.synced = self.synced[index]
+        population = m._threads
+        if len(population) > self._seen:
+            spawned = list(itertools.islice(population.values(), self._seen, None))
+            self._seen = len(population)
+            threads = threads + spawned
+            self.tids = np.concatenate(
+                (self.tids, np.array([t.tid for t in spawned], dtype=np.int64))
+            )
+            self.synced = np.concatenate(
+                (self.synced, np.full(len(spawned), new_synced, dtype=np.int64))
+            )
+            changed = True
         n = len(threads)
-        tid_list = [t.tid for t in threads]
-        self.threads = threads
-        self._tid_list = tid_list
-        self.tids = np.array(tid_list, dtype=np.int64)
-        self.vruntime = np.array([t.vruntime for t in threads])
+        if changed:
+            self.threads = threads
+            self.slot_of = {t.tid: i for i, t in enumerate(threads)}
+            self.duty_slots = [
+                i for i, t in enumerate(threads) if t.duty_rng is not None
+            ]
+            self.size = n
+            # Every kept thread is alive; a reap since the last refresh
+            # would have been dropped above.
+            self.alive = np.ones(n, dtype=bool)
+        self.vruntime = np.fromiter((t.vruntime for t in threads), float, count=n)
         self.runnable = np.fromiter(
-            (t.state is TaskState.RUNNABLE for t in threads), dtype=bool, count=n
+            (t.state is TaskState.RUNNABLE for t in threads), bool, count=n
         )
-        self.alive = np.fromiter(
-            (t.state is not TaskState.DEAD for t in threads), dtype=bool, count=n
-        )
-        self.synced = np.fromiter(
-            (carried.get(tid, default_synced) for tid in tid_list),
-            dtype=np.int64,
-            count=n,
-        )
-        self.slot_of = {tid: i for i, tid in enumerate(tid_list)}
-        self.duty_slots = [
-            i for i, t in enumerate(threads) if t.duty_rng is not None
-        ]
-        self.size = n
 
-    def _sync_all(self, upto: int) -> None:
+    def _sync_all(self, upto: int, dt: float) -> None:
         """Fold idle-clock arrears of every live task up to tick ``upto``."""
         synced = self.synced
         behind = np.flatnonzero(self.alive & (synced < upto))
         if behind.size:
             counters = self.machine.counters
-            dt = self.machine.tick
-            tid_list = self._tid_list
-            for slot in behind:
-                counters.advance_idle(
-                    tid_list[slot], dt, int(upto - synced[slot])
-                )
+            threads = self.threads
+            for slot in behind.tolist():
+                counters.advance_idle(threads[slot].tid, dt, int(upto - synced[slot]))
             synced[behind] = upto
 
-    # -- the batched tick loop ----------------------------------------------
-    def run(self, n: int) -> None:
-        """Advance ``n`` whole ticks (the body of ``SimMachine.run_ticks``)."""
+    # -- the tick loop -------------------------------------------------------
+    def run(self, n: int, dt: float) -> None:
+        """Advance ``n`` ticks of ``dt`` seconds each.
+
+        The body of every machine advance: ``run_for``/``run_until`` pass
+        their whole ticks with ``dt = machine.tick`` and then at most one
+        fractional tick (``n = 1``, ``dt`` = the remainder); ``run_ticks``
+        passes whole ticks only.
+        """
         m = self.machine
-        dt = m.tick
         counters = m.counters
         scheduler = m.scheduler
         timers = m._timers
-        # Fresh batch: arrears bookkeeping restarts at zero, like the
-        # scalar path's empty ``synced`` dict.
-        self.size = 0
-        self._ingest(0)
+        self._refresh(0)
+        # Fresh batch: arrears bookkeeping restarts at zero (every live
+        # task's clocks were folded current when the last batch ended).
+        self.synced[:] = 0
         for t in range(n):
             if timers and timers[0][0] <= m.now + 1e-12:
                 # Callbacks may read counters, kill tasks or spawn new
                 # ones: bring every live task's clocks current first.
-                self._sync_all(t)
+                self._sync_all(t, dt)
                 m._fire_timers()
-                self._ingest(t)
+                self._refresh(t)
             if self.duty_slots:
                 run_mask = self.runnable.copy()
                 threads = self.threads
@@ -296,10 +321,10 @@ class ColumnKernel:
                     synced[slot] = t + 1
             m.now += dt
             if timers and timers[0][0] <= m.now + 1e-12:
-                self._sync_all(t + 1)
+                self._sync_all(t + 1, dt)
                 m._fire_timers()
-                self._ingest(t + 1)
-        self._sync_all(n)
+                self._refresh(t + 1)
+        self._sync_all(n, dt)
 
     def _slice(
         self,
@@ -309,13 +334,12 @@ class ColumnKernel:
         contended,
         dt: float,
     ) -> None:
-        """Retire one scheduled slice (vectorised accrual when eligible).
+        """Retire one scheduled slice and land its events on the counters.
 
-        Replicates ``SimMachine._run_slice`` float-for-float: same segment
-        loop, same RNG draw, same phase-boundary rules. Only the event
+        Float-for-float the reference stepper's slice: same segment loop,
+        same RNG draw, same phase-boundary rules. Only the event
         accumulation differs mechanically — a dense vector instead of a
-        dict — and only for *simple* counter sets; everything else takes
-        the scalar routine on the same objects.
+        dict.
         """
         m = self.machine
         located = thread.current_phase()
@@ -325,15 +349,6 @@ class ColumnKernel:
             self.alive[slot] = False
             return
         tid = thread.tid
-        cslots, codes, simple = m.counters.tid_slots(tid)
-        if not simple:
-            self.fallback_slices += 1
-            m._run_slice(thread, pu_id, contended, dt, rate_cache=m._rate_cache)
-            state = thread.state
-            self.runnable[slot] = state is TaskState.RUNNABLE
-            self.alive[slot] = state is not TaskState.DEAD
-            return
-        self.fast_slices += 1
         arch = m.arch
         rate_cache = m._rate_cache
         cycle_budget = arch.freq_hz * dt
@@ -370,22 +385,39 @@ class ColumnKernel:
             located = thread.current_phase()
             if located is None:
                 break
+            # Crossing into a new phase invalidates the contended rates;
+            # recompute solo for the remainder of this tick (one tick of
+            # slight inaccuracy at each boundary).
             if remaining <= instructions + 1e-9:
                 base = None
         scheduled_dt = dt * min(1.0, consumed_cycles / (arch.freq_hz * dt))
         thread.cpu_time += scheduled_dt
         done = located is None
-        if cslots.size:
-            cols = m.counters.columns
-            # A thread that finishes mid-tick stops its enabled clock at
-            # death, exactly like the scalar accrue path.
-            cols.time_enabled[cslots] += scheduled_dt if done else dt
-            if scheduled_dt > 0:
-                cols.time_running[cslots] += scheduled_dt
-                # The scalar path accumulates CYCLES from the noised CPI,
-                # not the published rate; swap the lane before landing.
-                dvec[_CYCLES_CODE] = cycles_total
-                cols.value[cslots] += dvec[codes]
+        # A thread that finishes mid-tick stops its counters' enabled clock
+        # at death; otherwise user-space scaling (enabled/running) would
+        # extrapolate the dead fraction of the tick as multiplexed time.
+        wall_dt = scheduled_dt if done else dt
+        # CYCLES accumulates from the noised CPI, not the published rate.
+        dvec[_CYCLES_CODE] = cycles_total
+        counters = m.counters
+        cslots, codes, simple = counters.tid_slots(tid)
+        if simple:
+            self.fast_slices += 1
+            if cslots.size:
+                cols = counters.columns
+                cols.time_enabled[cslots] += wall_dt
+                if scheduled_dt > 0:
+                    cols.time_running[cslots] += scheduled_dt
+                    cols.value[cslots] += dvec[codes]
+        else:
+            self.fallback_slices += 1
+            counters.accrue(
+                tid,
+                dict(zip(_EVENTS, dvec.tolist())),
+                wall_dt=wall_dt,
+                scheduled_dt=scheduled_dt,
+                alive=True,
+            )
         if contended is not None:
             m._last_rates[tid] = contended
         if done:

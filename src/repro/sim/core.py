@@ -243,6 +243,50 @@ def calibrate_phase(arch: ArchModel, phase: Phase, target_ipc: float) -> Phase:
     )
 
 
+#: Missed keys an admitting memo remembers, oldest forgotten first. Large
+#: enough to span a grid node's co-schedule orbit (every key of a
+#: repeating orbit misses twice, then hits: a grid-recover episode makes
+#: the same number of ``compute_rates`` calls with 1024 as with 4096, and
+#: 1% more with 256), small enough that a 1000-task node's rate keys,
+#: which recur only thousands of misses apart, stay out (RSS +3.4 MB at
+#: 4096). About 0.1 MB per memo when full.
+ADMISSION_WINDOW = 1024
+
+
+class SecondMiss:
+    """Admission filter for the exact memos: admit a key on its second miss.
+
+    A memo entry pins the objects its key names, so traffic that never
+    reuses a key — a 1000-task node whose co-schedules never recur — fills
+    a memo with dead weight and pays for it in RSS. Traffic that does
+    reuse keys — a grid node orbiting the same co-schedules — misses each
+    key twice and hits from then on.
+
+    The filter remembers the digests of the last :data:`ADMISSION_WINDOW`
+    misses in a FIFO. A digest is the hash of a tuple of numbers only —
+    PU numbers, floats and :attr:`Phase.serial` creation numbers, never an
+    ``id()`` — so the same run admits the same keys whatever the object
+    addresses, and no object is pinned. Two keys with one digest admit an
+    entry one miss early, which costs memory, never correctness.
+    """
+
+    __slots__ = ("_recent",)
+
+    def __init__(self) -> None:
+        self._recent: dict[int, None] = {}
+
+    def admit(self, digest: int) -> bool:
+        """Record a miss; True when ``digest`` is among the recent misses."""
+        recent = self._recent
+        if digest in recent:
+            del recent[digest]
+            return True
+        if len(recent) >= ADMISSION_WINDOW:
+            del recent[next(iter(recent))]
+        recent[digest] = None
+        return False
+
+
 class RateCache:
     """Exact memo over :func:`compute_rates`.
 
@@ -254,15 +298,17 @@ class RateCache:
     while its entry is live. Eviction only costs speed, never correctness:
     a recomputed entry is bitwise-identical to the evicted one.
 
-    Used by :meth:`SimMachine.run_ticks` to avoid re-deriving rates for the
-    (phase, capacities, latency, share) combinations that repeat every time
-    the scheduler's round-robin orbit revisits a co-schedule.
+    Used by the columnar kernel to avoid re-deriving rates for the (phase,
+    capacities, latency, share) combinations that repeat every time the
+    scheduler's round-robin orbit revisits a co-schedule. A miss is stored
+    only on its second occurrence (:class:`SecondMiss`).
     """
 
     def __init__(self, max_entries: int = 65536) -> None:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+        self._admission = SecondMiss()
         # key -> (rates, keepalive) where keepalive pins the ids in the key.
         self._store: dict[tuple, tuple[SliceRates, tuple]] = {}
 
@@ -294,6 +340,16 @@ class RateCache:
             mem_latency_cycles=mem_latency_cycles,
             issue_share=issue_share,
         )
+        digest = hash(
+            (
+                phase.serial,
+                tuple(cap for _, cap in level_capacities),
+                -1.0 if mem_latency_cycles is None else mem_latency_cycles,
+                issue_share,
+            )
+        )
+        if not self._admission.admit(digest):
+            return result
         if len(self._store) >= self.max_entries:
             self._evict()
         keepalive = (arch, phase, tuple(spec for spec, _ in level_capacities))

@@ -9,10 +9,10 @@ multiplexed counts (``value * time_enabled / time_running``).
 Storage is columnar: the accumulator and both kernel clocks of every open
 counter live in the table's :class:`~repro.sim.columns.CounterColumns`
 arrays, and a :class:`KernelCounter` is a slotted handle whose properties
-index into them. The scalar accrual paths below and the vectorized
-:class:`~repro.sim.columns.ColumnKernel` therefore mutate the *same*
-storage — reads are always served incrementally from the columns, never
-recomputed, regardless of which path advanced the clock.
+index into them. The per-counter accrual paths below and the vectorized
+landing in :class:`~repro.sim.columns.ColumnKernel` therefore mutate the
+*same* storage — reads are always served incrementally from the columns,
+never recomputed, regardless of which path advanced the clock.
 
 Multiplexing: when a task has more enabled counters than the PMU width
 (sixteen on the modelled Xeon W3550, §2.6), the kernel rotates a window of
@@ -39,6 +39,14 @@ from repro.sim.events import EVENT_CODE, Event
 
 #: Probability that one sampling interrupt is lost (coalescing/throttling).
 SAMPLE_LOSS_PROBABILITY = 0.002
+
+#: Entries of the idle-clock fold memo before it is cleared. Its keys
+#: repeat only across the tasks of one sync (clocks only move forward),
+#: so a few hundred entries serve every cohort.
+CLOCK_CACHE_MAX = 512
+
+#: ``tid_slots`` answer for a task without counters (never cached).
+_NO_SLOTS = (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), True)
 
 
 class KernelCounter:
@@ -198,7 +206,8 @@ class CounterTable:
         self._rng = np.random.default_rng((seed, 0xC0))
         # Memo for advance_idle: (time_enabled, dt, ticks) -> folded clock.
         # Counters attached at the same instant share time_enabled, so one
-        # fold serves a whole cohort.
+        # fold serves a whole cohort — within one sync, since clocks only
+        # grow and a key never recurs later (hence the small cap).
         self._clock_cache: dict[tuple[float, float, int], float] = {}
         # tid -> (columns.version, slots, codes, simple). ``simple`` means
         # the vector fast path may accrue this tid: every counter enabled,
@@ -251,11 +260,22 @@ class CounterTable:
         return counter
 
     def close(self, counter_id: int) -> None:
-        """Release a counter handle (idempotent errors raise)."""
+        """Release a counter handle (idempotent errors raise).
+
+        Closing a task's last counter drops its per-tid entries, so a node
+        that churns through tasks keeps state only for tasks with open
+        counters. The multiplex rotation stays: a later reattach to the
+        same tid resumes the window where it stood.
+        """
         counter = self.get(counter_id)
         counter.closed = True
         counter.enabled = False
-        self._by_tid[counter.tid].remove(counter)
+        tid = counter.tid
+        remaining = self._by_tid[tid]
+        remaining.remove(counter)
+        if not remaining:
+            del self._by_tid[tid]
+            self._tid_cache.pop(tid, None)
         del self._by_id[counter_id]
         counter._detach()
 
@@ -267,17 +287,20 @@ class CounterTable:
         """Column slots, event codes and fast-path eligibility for ``tid``.
 
         Cached against ``columns.version``, which moves on every open,
-        close, and enable/disable toggle. ``simple`` is True when the
-        vectorized accrual path reproduces the scalar one exactly for this
-        tid: all counters enabled (the active window is the whole set), no
-        sampling counters (whose RNG draws must stay in scalar order), and
-        no multiplexing rotation.
+        close, and enable/disable toggle; a tid without counters gets a
+        shared empty answer and no cache entry. ``simple`` is True when the
+        kernel's vectorized landing reproduces :meth:`accrue` exactly for
+        this tid: all counters enabled (the active window is the whole
+        set), no sampling counters (whose RNG draws must stay in scalar
+        order), and no multiplexing rotation.
         """
+        counters = self._by_tid.get(tid)
+        if counters is None:
+            return _NO_SLOTS
         entry = self._tid_cache.get(tid)
         version = self.columns.version
         if entry is not None and entry[0] == version:
             return entry[1], entry[2], entry[3]
-        counters = self._by_tid.get(tid, ())
         slots = np.fromiter(
             (c._slot for c in counters), dtype=np.intp, count=len(counters)
         )
@@ -392,7 +415,7 @@ class CounterTable:
             value = start
             for _ in range(ticks):
                 value += dt
-            if len(self._clock_cache) >= 65536:
+            if len(self._clock_cache) >= CLOCK_CACHE_MAX:
                 self._clock_cache.clear()
             self._clock_cache[key] = cached = value
         return cached

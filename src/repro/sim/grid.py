@@ -146,7 +146,7 @@ class Job:
         memory_bytes: declared memory need (admission only).
         submitted_at: submission time.
         process: the spawned process, when it lives in this process
-            (legacy/serial engines; None under the sharded engine, whose
+            (serial engine; None under the supervised engine, whose
             processes live in workers — use ``pid``).
         pid: pid on the target node once dispatched.
         node: the node name it landed on.
@@ -197,12 +197,13 @@ class Grid:
         workers: 1 (default) runs every node in-process through the
             epoch-batched serial engine; N > 1 shards the fleet over N
             persistent worker processes under supervision.
-        engine: explicit engine override ("legacy", "serial",
-            "supervised", or its aliases "sharded" and "fleet"); None
-            derives it — "supervised" when workers/chaos/supervision/
-            transport/hosts ask for worker processes, "serial"
-            otherwise. "legacy" is the pre-epoch per-tick loop, kept as
-            the reference and benchmark baseline.
+        engine: explicit engine override ("serial", "supervised", or
+            its aliases "sharded" and "fleet"); None derives it —
+            "supervised" when workers/chaos/supervision/transport/hosts
+            ask for worker processes, "serial" otherwise. The pre-epoch
+            per-tick loop is the verification reference
+            ``repro.verify.reference.ReferenceGrid``; "legacy" raises
+            a :class:`SimulationError` pointing there.
         profile: print per-epoch engine timings, message counts, wire
             bytes, RateCache statistics and restart/replay/degrade
             counters to stderr.
@@ -281,13 +282,12 @@ class Grid:
                 engine = "supervised"
             else:
                 engine = "serial"
-        self.engine = create_engine(
+        self.engine = self._create_engine(
             engine, specs, tick, seed, workers,
             chaos=chaos, supervision=supervision,
             transport=transport, hosts=hosts,
             net_chaos=netchaos,
         )
-        self._legacy = self.engine.name == "legacy"
         self._pending: dict[str, list[Job]] = {
             name: [] for name in self.queues
         }
@@ -325,6 +325,10 @@ class Grid:
         }
 
     # -- lifecycle ----------------------------------------------------------
+    def _create_engine(self, engine: str, *args, **options):
+        """Build the engine that advances the nodes."""
+        return create_engine(engine, *args, **options)
+
     def close(self) -> None:
         """Shut down worker processes (no-op for in-process engines)."""
         self.engine.close()
@@ -422,41 +426,38 @@ class Grid:
                 pending.remove(job)
                 job.node = node_name
                 job.started_at = self.now
-                if self._legacy:
-                    machine = self.nodes[node_name]
-                    job.process = machine.spawn(
-                        job.name, job.workload, user=job.user
-                    )
-                    job.pid = job.process.pid
-                    if queue.max_wallclock != float("inf"):
-                        self._arm_wallclock_kill(job, queue.max_wallclock)
-                    continue
-                limit = (
-                    queue.max_wallclock
-                    if queue.max_wallclock != float("inf")
-                    else None
-                )
-                self._pending_cmds.append(
-                    SpawnCmd(
-                        job_id=job.job_id,
-                        node=node_name,
-                        command=job.name,
-                        user=job.user,
-                        workload=job.workload,
-                        wallclock_limit=limit,
-                    )
-                )
-                # Epoch-boundary inputs, known at dispatch: the shard arms
-                # the kill at machine.now + limit — the same float
-                # expression computed here — and a fresh job cannot exit
-                # before its whole workload's penalty-CPI floor elapses.
-                node_now = self._node_now[node_name]
-                if limit is not None:
-                    self._kill_due[job.job_id] = node_now + limit
-                spec = self._spec_by_name[node_name]
-                lb = workload_exit_lb(spec.arch, job.workload)
-                if lb is not None:
-                    self._exit_after[job.job_id] = node_now + lb
+                self._start(job, queue)
+
+    def _start(self, job: Job, queue: QueueSpec) -> None:
+        """Launch a just-dispatched job on ``job.node``: queue its spawn
+        for the next epoch round-trip."""
+        node_name = job.node
+        limit = (
+            queue.max_wallclock
+            if queue.max_wallclock != float("inf")
+            else None
+        )
+        self._pending_cmds.append(
+            SpawnCmd(
+                job_id=job.job_id,
+                node=node_name,
+                command=job.name,
+                user=job.user,
+                workload=job.workload,
+                wallclock_limit=limit,
+            )
+        )
+        # Epoch-boundary inputs, known at dispatch: the shard arms the
+        # kill at machine.now + limit — the same float expression computed
+        # here — and a fresh job cannot exit before its whole workload's
+        # penalty-CPI floor elapses.
+        node_now = self._node_now[node_name]
+        if limit is not None:
+            self._kill_due[job.job_id] = node_now + limit
+        spec = self._spec_by_name[node_name]
+        lb = workload_exit_lb(spec.arch, job.workload)
+        if lb is not None:
+            self._exit_after[job.job_id] = node_now + lb
 
     def _preempt_for(self, job: Job, queue: QueueSpec) -> str | None:
         """Evict one strictly weaker running job to make room for ``job``.
@@ -507,15 +508,7 @@ class Grid:
         """Kill a running job's process and requeue the job as pending."""
         victim.preemptions += 1
         self.stats["preemptions"] += 1
-        if self._legacy:
-            if victim.process is not None and victim.process.alive:
-                self.nodes[victim.node].kill(  # type: ignore[index]
-                    victim.process.pid
-                )
-        else:
-            # Rides the same epoch command list as spawns, in list order:
-            # the shard evicts before the boundary's new spawns apply.
-            self._pending_cmds.append(PreemptCmd(victim.job_id, victim.node))
+        self._evict(victim)
         victim.process = None
         victim.pid = None
         victim.node = None
@@ -524,39 +517,17 @@ class Grid:
         self._exit_after.pop(victim.job_id, None)
         self._pending[victim.queue].append(victim)
 
-    def _arm_wallclock_kill(self, job: Job, limit: float) -> None:
-        machine = self.nodes[job.node]  # type: ignore[index]
-        # Capture the process at arm time: a preempted job's restart gets
-        # a NEW process (possibly on another node) that this stale timer
-        # must never touch.
-        proc = job.process
-
-        def kill() -> None:
-            if proc is not None and proc.alive:
-                machine.kill(proc.pid)
-                if job.process is proc:
-                    job.killed = True
-
-        machine.at(machine.now + limit, kill)
+    def _evict(self, victim: Job) -> None:
+        """Stop a preempted job's process. The eviction rides the same
+        epoch command list as spawns, in list order: the shard evicts
+        before the boundary's new spawns apply."""
+        self._pending_cmds.append(PreemptCmd(victim.job_id, victim.node))
 
     # -- time ------------------------------------------------------------------
     def run_for(self, seconds: float) -> None:
         """Advance every node in lockstep, dispatching as slots free up."""
-        if self._legacy:
-            remaining = seconds
-            while remaining > 1e-12:
-                step = min(self.tick, remaining)
-                self._dispatch()
-                for machine in self.nodes.values():
-                    machine.run_for(step)
-                self.now += step
-                remaining -= step
-                self._reap()
-            self._dispatch()
-            return
-
-        # Same step ladder as the legacy loop: whole ticks by repeated
-        # subtraction, then at most one fractional step.
+        # Same step ladder as the per-tick reference loop: whole ticks by
+        # repeated subtraction, then at most one fractional step.
         self._sync_node_now()
         remaining = seconds
         n_ticks = 0
@@ -574,9 +545,9 @@ class Grid:
             self._run_epoch(0, frac)
         self._dispatch()
         if self._pending_cmds:
-            # The trailing dispatch spawns immediately under the legacy
-            # engine; flush with a zero-length epoch so end-of-run node
-            # state is identical across engines.
+            # The trailing dispatch spawns immediately in the per-tick
+            # reference; flush with a zero-length epoch so end-of-run node
+            # state is identical to it.
             self._run_epoch(0, 0.0)
 
     def _sync_node_now(self) -> None:
@@ -624,7 +595,7 @@ class Grid:
         reports = self.engine.advance(commands, n_ticks, frac)
         wall = time.perf_counter() - t0
         # The grid clock advances by the same repeated-addition ladder as
-        # the legacy loop; boundary values are kept so finish times can be
+        # the per-tick reference; boundary values are kept so finish times can be
         # backfilled bitwise-identically to the per-tick reaper.
         boundaries: list[float] = []
         for _ in range(n_ticks):
@@ -702,15 +673,6 @@ class Grid:
                 file=sys.stderr,
             )
 
-    def _reap(self) -> None:
-        for job in self._jobs:
-            if (
-                job.process is not None
-                and job.finished_at is None
-                and not job.process.alive
-            ):
-                job.finished_at = self.now
-
     # -- introspection -----------------------------------------------------------
     @property
     def nodes(self) -> dict[str, SimMachine]:
@@ -784,8 +746,8 @@ class Grid:
         Observability only, never part of :meth:`conformance_digest`:
         fast-vs-fallback slice counts depend on which advance path ran,
         which is exactly the engine-specific detail digests must ignore.
-        Sharded grids return an empty map (their machines live in worker
-        processes); serial and legacy engines report every node.
+        Supervised grids return an empty map (their machines live in
+        worker processes); the serial engine reports every node.
         """
         return {
             name: machine.kernel_stats()

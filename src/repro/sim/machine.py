@@ -11,6 +11,12 @@
    accruing hardware events into the kernel counter table, and
 6. reaps threads whose workloads completed.
 
+Every advance — :meth:`~SimMachine.run_for`, :meth:`~SimMachine.run_until`,
+:meth:`~SimMachine.run_ticks` — runs those steps in one place, the columnar
+:class:`~repro.sim.columns.ColumnKernel`. The scalar one-tick-at-a-time
+stepper it must match bit for bit lives in ``repro.verify.reference`` and
+only oracles, tests and benchmark baselines run it.
+
 Everything is deterministic: the only randomness is per-process Generators
 seeded from the machine seed, used for the per-tick execution-CPI jitter
 that gives the paper's plots their characteristic noise.
@@ -20,7 +26,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 import zlib
 from collections.abc import Callable
 
@@ -30,10 +35,9 @@ from repro.errors import SimulationError
 from repro.sim.arch import ArchModel
 from repro.sim.cache import CacheHierarchy, CacheInstance
 from repro.sim.columns import ColumnKernel
-from repro.sim.core import RateCache, SliceRates, compute_rates
+from repro.sim.core import RateCache, SecondMiss, SliceRates
 from repro.sim.counters import CounterTable
 from repro.sim.cpu_topology import Topology
-from repro.sim.events import Event
 from repro.sim.process import SimProcess, SimThread, TaskState
 from repro.sim.scheduler import Scheduler
 from repro.sim.smt import issue_share
@@ -61,7 +65,8 @@ class SimMachine:
         rate_cache: optional shared :class:`RateCache`. Machines in one
             grid shard pass a common cache so identical (arch, phase,
             capacity) rate computations are deduplicated fleet-wide; the
-            memo is exact, so sharing never changes results.
+            memo is exact, so sharing never changes results. The default
+            is a private cache with second-miss admission.
     """
 
     def __init__(
@@ -102,15 +107,18 @@ class SimMachine:
         self._timer_seq = itertools.count()
         self._last_rates: dict[int, SliceRates] = {}
         self._booted = False
-        # Batched-path memos (run_ticks). Both are exact: the rate cache
-        # keys pure-function inputs by identity, and the contention cache
-        # keys whole co-schedules by (pu, phase, previous-rates) identity.
-        # Entries pin the objects behind the ids they key on, so eviction
-        # is the only way an id leaves the cache.
+        # Kernel memos. Both are exact: the rate cache keys pure-function
+        # inputs by identity, and the contention cache keys whole
+        # co-schedules by (pu, phase identity, previous-tick CPI). Entries
+        # pin the objects behind the ids they key on, so eviction is the
+        # only way an id leaves the cache; both admit on a key's second miss.
         self._rate_cache = RateCache() if rate_cache is None else rate_cache
         self._contention_cache: dict[tuple, tuple] = {}
-        # Columnar tick engine (lazily built on first run_ticks).
-        self._kernel: ColumnKernel | None = None
+        self._contention_admission = SecondMiss()
+        self._contention_hits = 0
+        self._contention_misses = 0
+        #: The one advance path: every run_* call enters this kernel.
+        self._kernel = ColumnKernel(self)
         #: pid -> first tick boundary at/after which the process was seen
         #: dead. This is exactly when an external per-tick reaper (the
         #: grid's) would observe the death, recorded here so epoch-batched
@@ -262,13 +270,14 @@ class SimMachine:
         """Advance the virtual clock to ``deadline`` in whole ticks.
 
         Tick accounting is integral: the span is converted to a whole tick
-        count once, every full tick steps by exactly ``self.tick``, and at
-        most one fractional step covers the remainder. The old form — loop
-        while ``now < deadline - 1e-12``, stepping ``min(tick, rest)`` —
-        compared an *absolute* epsilon against a clock whose ulp outgrows
-        it (ulp(3.6e5) is already ~6e-11), so long runs drifted by whole
-        ticks. Counting ticks as integers keeps the step sequence identical
-        to :meth:`run_ticks` at any clock magnitude.
+        count once, the kernel runs that many full ticks of exactly
+        ``self.tick``, and at most one fractional tick covers the
+        remainder. The old form — loop while ``now < deadline - 1e-12``,
+        stepping ``min(tick, rest)`` — compared an *absolute* epsilon
+        against a clock whose ulp outgrows it (ulp(3.6e5) is already
+        ~6e-11), so long runs drifted by whole ticks. Counting ticks as
+        integers keeps the step sequence identical to :meth:`run_ticks`
+        at any clock magnitude.
         """
         span = deadline - self.now
         if span <= 0:
@@ -278,23 +287,23 @@ class SimMachine:
         # accumulated float error (a few ulps) must not lose its last tick
         # to truncation.
         whole = int(quotient + max(1e-9, quotient * 1e-12))
-        for _ in range(whole):
-            self._step(self.tick)
+        if whole:
+            self._kernel.run(whole, self.tick)
         remainder = deadline - self.now
         if remainder > self.tick * 1e-9:
-            self._step(remainder)
+            self._kernel.run(1, remainder)
 
     def run_ticks(self, n: int) -> None:
-        """Advance exactly ``n`` whole ticks on the batched fast path.
+        """Advance exactly ``n`` whole ticks.
 
-        Produces bitwise-identical machine, counter and RNG state to ``n``
-        successive scalar ticks (``_step(tick)`` each), but amortises the
+        The same :meth:`ColumnKernel.run <repro.sim.columns.ColumnKernel.run>`
+        entry as :meth:`run_for` and :meth:`run_until`, which amortises the
         per-tick model evaluation three ways:
 
         * **Contention memo** — the fixed-point of
           :meth:`_resolve_contention` is a deterministic pure function of
           the co-schedule shape: which PUs run which phases, seeded with
-          which previous-tick rates. Over-subscribed nodes revisit the same
+          which previous-tick CPIs. Over-subscribed nodes revisit the same
           co-schedules as the scheduler's round-robin orbit repeats, so the
           resolved :class:`SliceRates` are cached per co-schedule key and
           replayed instead of re-iterated.
@@ -308,77 +317,47 @@ class SimMachine:
           before any timer callback can observe counter state, and at the
           end of the batch.
 
-        Correctness does not depend on cache hit rates (misses fall back to
-        the scalar code paths on the very same objects); only speed does.
-
-        The loop itself lives in :class:`~repro.sim.columns.ColumnKernel`:
-        per-thread scheduling state is mirrored into parallel arrays so the
-        runnable scan, fairness sort, idle-clock arrears and (for simple
-        counter sets) the per-slice event accrual all run as array
-        operations instead of per-object Python loops.
+        Both memos admit a key on its second miss (:class:`SecondMiss`),
+        so traffic that never repeats a co-schedule does not fill them.
+        Correctness does not depend on hit rates: a miss recomputes the
+        very value a hit would return. ``repro.verify.reference`` keeps
+        the memo-free scalar stepper this path must match bit for bit.
         """
         if n < 0:
             raise SimulationError(f"cannot run a negative tick count {n}")
-        if self._kernel is None:
-            self._kernel = ColumnKernel(self)
-        self._kernel.run(n)
+        self._kernel.run(n, self.tick)
 
     def kernel_stats(self) -> dict[str, int]:
-        """Columnar-kernel health: slot occupancy and fast-path coverage.
+        """Columnar-kernel health: slot occupancy, accrual paths and memos.
 
         Observability only — never part of conformance digests. A high
         ``fallback_slices`` share means the population's counter sets are
-        not *simple* (sampling / disabled / multiplexed) and the node is
-        paying scalar prices.
+        not *simple* (sampling / disabled / multiplexed) and the node lands
+        its slices through :meth:`CounterTable.accrue`. The ``rate_cache_*``
+        figures belong to the (possibly shard-shared) :class:`RateCache`;
+        ``contention_*`` to this machine's co-schedule memo.
         """
         kernel = self._kernel
         columns = self.counters.columns
+        rate_cache = self._rate_cache
         return {
             "counter_slots_live": columns.live_slots(),
             "counter_slot_capacity": columns.capacity,
-            "tracked_tasks": kernel.size if kernel is not None else 0,
-            "fast_slices": kernel.fast_slices if kernel is not None else 0,
-            "fallback_slices": (
-                kernel.fallback_slices if kernel is not None else 0
-            ),
+            "tracked_tasks": kernel.size,
+            "fast_slices": kernel.fast_slices,
+            "fallback_slices": kernel.fallback_slices,
+            "rate_cache_hits": rate_cache.hits,
+            "rate_cache_misses": rate_cache.misses,
+            "rate_cache_entries": len(rate_cache),
+            "contention_hits": self._contention_hits,
+            "contention_misses": self._contention_misses,
+            "contention_entries": len(self._contention_cache),
         }
 
     def _fire_timers(self) -> None:
         while self._timers and self._timers[0][0] <= self.now + 1e-12:
             _, _, callback = heapq.heappop(self._timers)
             callback()
-
-    def _step(self, dt: float) -> None:
-        self._fire_timers()
-        runnable = [
-            t
-            for t in self._threads.values()
-            if t.state is TaskState.RUNNABLE
-            and (
-                t.duty_rng is None
-                or t.duty_rng.random() < t.process.duty_cycle
-            )
-        ]
-        dispatch = self.scheduler.dispatch(runnable, dt)
-        assignment = dispatch.assignment
-
-        rates = self._resolve_contention(assignment)
-
-        scheduled_tids: set[int] = set()
-        for pu_id, thread in assignment.items():
-            self._run_slice(thread, pu_id, rates.get(thread.tid), dt)
-            scheduled_tids.add(thread.tid)
-
-        # Counter bookkeeping for unscheduled-but-alive threads: enabled
-        # time advances, running time does not.
-        for tid, thread in self._threads.items():
-            if tid not in scheduled_tids and thread.alive:
-                self.counters.accrue(
-                    tid, {}, wall_dt=dt, scheduled_dt=0.0, alive=True
-                )
-
-        self.now += dt
-        self._fire_timers()
 
     # ------------------------------------------------------------------
     # Contention resolution
@@ -393,23 +372,19 @@ class SimMachine:
     def _resolve_contention(
         self,
         assignment: dict[int, SimThread],
-        located: dict[int, tuple] | None = None,
-        rate_cache: RateCache | None = None,
+        located: dict[int, tuple],
+        rate_source,
     ) -> dict[int, SliceRates]:
         """Fixed-point on access pressures -> capacities -> rates.
 
-        ``located`` optionally pre-resolves ``thread.current_phase()`` per
-        tid (the lookup is pure within a tick, so hoisting it is exact);
-        ``rate_cache`` optionally memoises the inner ``compute_rates``
-        calls. Both default to the plain scalar behaviour.
+        ``located`` pre-resolves ``thread.current_phase()`` per tid (the
+        lookup is pure within a tick, so hoisting it is exact);
+        ``rate_source`` answers the inner rate computations through its
+        ``rates()`` method — the machine's :class:`RateCache`, or the
+        reference stepper's memo-free stand-in.
         """
         if not assignment:
             return {}
-        if located is None:
-            located = {
-                thread.tid: thread.current_phase()
-                for thread in assignment.values()
-            }
         per_core = self._active_per_core(assignment)
         shares = {
             pu: issue_share(self.arch, per_core[self.topology.pu(pu).core_id])
@@ -457,22 +432,13 @@ class SimMachine:
                     continue
                 phase, _ = loc
                 caps = self.caches.levels_with_capacity(pu, pressures, thread.tid)
-                if rate_cache is not None:
-                    r = rate_cache.rates(
-                        self.arch,
-                        phase,
-                        caps,
-                        mem_latency_cycles=mem_latency,
-                        issue_share=shares[pu],
-                    )
-                else:
-                    r = compute_rates(
-                        self.arch,
-                        phase,
-                        caps,
-                        mem_latency_cycles=mem_latency,
-                        issue_share=shares[pu],
-                    )
+                r = rate_source.rates(
+                    self.arch,
+                    phase,
+                    caps,
+                    mem_latency_cycles=mem_latency,
+                    issue_share=shares[pu],
+                )
                 rates[thread.tid] = r
                 inst_rate[thread.tid] = self.arch.freq_hz / r.cpi
         return rates
@@ -486,42 +452,48 @@ class SimMachine:
         assignment: dict[int, SimThread],
         located: dict[int, tuple],
     ) -> dict[int, SliceRates]:
-        """Memoised :meth:`_resolve_contention` for the batched path.
+        """Memoised :meth:`_resolve_contention` for the kernel.
 
         The fixed-point depends only on the *shape* of the co-schedule:
-        (pu, active phase, previous-tick rates) per slot, in assignment
-        order (the order matters because bus demand accumulates in it).
-        Phases and SliceRates are immutable, so identity-keying them makes
-        a cache hit return the very objects the scalar path would have
-        recomputed.
+        (pu, active phase, previous-tick CPI) per slot, in assignment order
+        (the order matters because bus demand accumulates in it). The
+        previous tick's rates enter the fixed point only as the starting
+        CPI guess, so keying that float (1.0 without previous rates, as in
+        :meth:`_resolve_contention`) is exact. Phases are immutable and
+        identity-keyed, so a hit returns rates equal to a recomputation's.
         """
         if not assignment:
             return {}
-        key = tuple(
-            (
-                pu,
-                id(loc[0]) if (loc := located[thread.tid]) is not None else None,
-                id(prev) if (prev := self._last_rates.get(thread.tid)) is not None else None,
-            )
+        last = self._last_rates
+        shape = [
+            (pu, loc[0], 1.0 if (prev := last.get(thread.tid)) is None else prev.cpi)
+            if (loc := located[thread.tid]) is not None
+            else (pu, None, 1.0)
             for pu, thread in assignment.items()
-        )
+        ]
+        key = tuple((pu, id(phase), cpi) for pu, phase, cpi in shape)
         entry = self._contention_cache.get(key)
         threads = list(assignment.values())
         if entry is not None:
+            self._contention_hits += 1
             results = entry[0]
             return {
                 thread.tid: r
                 for thread, r in zip(threads, results)
                 if r is not None
             }
-        rates = self._resolve_contention(
-            assignment, located=located, rate_cache=self._rate_cache
+        self._contention_misses += 1
+        rates = self._resolve_contention(assignment, located, self._rate_cache)
+        digest = hash(
+            tuple(
+                (pu, -1 if phase is None else phase.serial, cpi)
+                for pu, phase, cpi in shape
+            )
         )
+        if not self._contention_admission.admit(digest):
+            return rates
         results = tuple(rates.get(thread.tid) for thread in threads)
-        keepalive = tuple(
-            (located[thread.tid], self._last_rates.get(thread.tid))
-            for thread in threads
-        )
+        keepalive = tuple(phase for _, phase, _ in shape)
         if len(self._contention_cache) >= self._CONTENTION_CACHE_MAX:
             # Oldest-half FIFO, same rationale as RateCache._evict: keep
             # the recent (live-orbit) half instead of thrashing to cold.
@@ -534,88 +506,8 @@ class SimMachine:
         self._contention_cache[key] = (results, keepalive)
         return rates
 
-    # ------------------------------------------------------------------
-    # Instruction retirement
-    # ------------------------------------------------------------------
-    def _run_slice(
-        self,
-        thread: SimThread,
-        pu_id: int,
-        contended: SliceRates | None,
-        dt: float,
-        rate_cache: RateCache | None = None,
-    ) -> None:
-        """Retire instructions on ``thread`` for one tick on ``pu_id``.
-
-        ``current_phase()`` is pure between mutations of ``thread.retired``,
-        so each phase position is located exactly once per retirement step
-        and the result reused for the loop/termination checks.
-        """
-        located = thread.current_phase()
-        if located is None:
-            self._reap(thread, dt)
-            return
-
-        cycle_budget = self.arch.freq_hz * dt
-        consumed_cycles = 0.0
-        deltas: dict[Event, float] = {}
-        noise = math.exp(
-            thread.process.rng.normal(0.0, located[0].noise)
-        ) if located[0].noise > 0 else 1.0
-
-        base = contended
-        while cycle_budget > 1e-6 and located is not None:
-            phase, remaining = located
-            if base is not None and base.miss_profile.accesses:
-                rates = base
-            elif rate_cache is not None:
-                caps = [(s, float(s.size)) for s in self.arch.cache_levels]
-                rates = rate_cache.rates(self.arch, phase, caps)
-            else:
-                caps = [(s, float(s.size)) for s in self.arch.cache_levels]
-                rates = compute_rates(self.arch, phase, caps)
-            # Jitter only the execution component; penalty cycles are
-            # physical latencies and stay put.
-            cpi = rates.cpi_exec * noise + (rates.cpi - rates.cpi_exec)
-            instructions = min(cycle_budget / cpi, remaining)
-            cycles = instructions * cpi
-            for event, per_instr in rates.events.items():
-                if event is Event.CYCLES:
-                    deltas[event] = deltas.get(event, 0.0) + cycles
-                else:
-                    deltas[event] = deltas.get(event, 0.0) + per_instr * instructions
-            thread.retired += instructions
-            thread.cycles += cycles
-            consumed_cycles += cycles
-            cycle_budget -= cycles
-            located = thread.current_phase()
-            if located is None:
-                break
-            # Crossing into a new phase invalidates the contended rates;
-            # recompute solo for the remainder of this tick (one tick of
-            # slight inaccuracy at each boundary).
-            if remaining <= instructions + 1e-9:
-                base = None
-
-        scheduled_dt = dt * min(1.0, consumed_cycles / (self.arch.freq_hz * dt))
-        thread.cpu_time += scheduled_dt
-        done = located is None
-        # A thread that finishes mid-tick stops its counters' enabled clock
-        # at death; otherwise user-space scaling (enabled/running) would
-        # extrapolate the dead fraction of the tick as multiplexed time.
-        self.counters.accrue(
-            thread.tid,
-            deltas,
-            wall_dt=scheduled_dt if done else dt,
-            scheduled_dt=scheduled_dt,
-            alive=True,
-        )
-        if contended is not None:
-            self._last_rates[thread.tid] = contended
-        if done:
-            self._reap(thread, dt)
-
     def _reap(self, thread: SimThread, dt: float) -> None:
+        """Retire a thread whose workload has completed."""
         if thread.state is TaskState.DEAD:
             return
         thread.mark_dead()

@@ -9,15 +9,12 @@ or a slot frees. That property is what batch schedulers exploit to fan
 work out across hosts, and what this module exploits to advance nodes
 concurrently between **dispatch epochs**.
 
-Three engines implement the same contract:
+Two engines implement the same contract:
 
-* ``legacy`` — the original per-tick loop (dispatch, advance every node by
-  one scalar tick, reap). Kept as the reference semantics and the
-  benchmark baseline.
 * ``serial`` — one in-process :class:`Shard` holding every node, advanced
-  a whole epoch at a time through the batched
-  :meth:`~repro.sim.machine.SimMachine.run_ticks` memo path with a shard-
-  shared :class:`~repro.sim.core.RateCache`. The default and the CI path.
+  a whole epoch at a time through
+  :meth:`~repro.sim.machine.SimMachine.run_ticks` with a shard-shared
+  :class:`~repro.sim.core.RateCache`. The default and the CI path.
 * ``supervised`` (:mod:`repro.sim.supervisor`) — persistent worker
   agents, each owning a disjoint :class:`Shard` behind a pluggable
   :class:`~repro.sim.transport.ShardTransport` (``inproc`` serial
@@ -27,17 +24,24 @@ Three engines implement the same contract:
   alias for it; ``fleet`` is it with a host tier (``hosts=2`` unless
   given), where a degraded host is resurrected from its slots' journals.
 
+The original per-tick loop (dispatch, advance every node by one scalar
+tick, reap) is not a shipped engine: it lives in ``repro.verify.reference``
+as the reference semantics every engine is checked against and the
+benchmark baseline, and ``Grid(engine="legacy")`` raises a
+:class:`~repro.errors.SimulationError` pointing there.
+
 Every engine exposes the same surface — ``messages``, ``bytes_sent``,
 ``bytes_received``, recovery ``stats`` and ``events``, ``_procs``,
 ``live_workers()``, ``fenced_replies()``, ``net_faults()`` — so the grid
 never asks which engine it drives; the in-process engines report zeros.
 
 Determinism. A machine's evolution is a pure function of its spec, seed,
-tick, and the timed sequence of spawns/kills applied to it. All three
-engines apply the same commands at the same virtual boundaries and advance
-by the same whole-tick counts, so job states, finish times and per-node
-counter tables are bitwise identical (``run_ticks`` is proven bitwise
-equal to the scalar path by ``tests/test_run_ticks_equivalence.py``).
+tick, and the timed sequence of spawns/kills applied to it. The engines
+apply the same commands at the same virtual boundaries and advance by the
+same whole-tick counts, so job states, finish times and per-node counter
+tables are bitwise identical — to each other and to the per-tick
+reference (the kernel is proven bitwise equal to the reference stepper by
+``tests/test_run_ticks_equivalence.py``).
 
 The epoch boundary rule. An epoch may extend to the earliest virtual time
 at which the dispatcher could possibly have work: the next wallclock-kill
@@ -72,7 +76,7 @@ if TYPE_CHECKING:
     from repro.sim.supervisor import GridFaultPlan, Supervision
     from repro.sim.workload import Workload
 
-ENGINE_NAMES = ("legacy", "serial", "sharded", "supervised", "fleet")
+ENGINE_NAMES = ("serial", "sharded", "supervised", "fleet")
 
 #: Shard transport implementations (see :mod:`repro.sim.transport`).
 #: Defined here so the grid can validate without importing the
@@ -245,7 +249,7 @@ class Shard:
         self.rate_cache = RateCache()
         self.machines: dict[str, SimMachine] = {}
         for spec, seed in entries:
-            self.machines[spec.name] = _machine(
+            self.machines[spec.name] = build_machine(
                 spec, tick, seed, rate_cache=self.rate_cache
             )
         #: job_id -> (node name, pid) for jobs this shard still tracks.
@@ -372,7 +376,8 @@ def supervision_stats() -> dict[str, Any]:
 
 # -- engines ------------------------------------------------------------------
 
-def _machine(spec: "NodeSpec", tick: float, seed: int, **kw) -> SimMachine:
+def build_machine(spec: "NodeSpec", tick: float, seed: int, **kw) -> SimMachine:
+    """One grid node's machine, built from its spec."""
     return SimMachine(
         spec.arch,
         sockets=spec.sockets,
@@ -384,7 +389,7 @@ def _machine(spec: "NodeSpec", tick: float, seed: int, **kw) -> SimMachine:
     )
 
 
-class _InProcessEngine:
+class InProcessEngine:
     """The engine surface at its in-process values: no wire, no worker
     processes, nothing to recover."""
 
@@ -410,32 +415,7 @@ class _InProcessEngine:
         pass
 
 
-class LegacyTickEngine(_InProcessEngine):
-    """The pre-epoch reference: in-process machines, no batching.
-
-    :meth:`Grid.run_for` special-cases this engine and runs the original
-    dispatch/advance/reap loop over ``nodes`` — it exists so benchmarks
-    and equivalence tests can measure the restructure against the exact
-    old semantics.
-    """
-
-    name = "legacy"
-
-    def __init__(self, specs: list["NodeSpec"], tick: float, seed: int) -> None:
-        super().__init__()
-        self.nodes: dict[str, SimMachine] = {
-            spec.name: _machine(spec, tick, seed + i)
-            for i, spec in enumerate(specs)
-        }
-
-    def snapshot(self, node: str) -> dict[str, Any]:
-        return node_snapshot(self.nodes[node])
-
-    def snapshot_many(self, names: list[str]) -> dict[str, dict[str, Any]]:
-        return {name: node_snapshot(self.nodes[name]) for name in names}
-
-
-class SerialEpochEngine(_InProcessEngine):
+class SerialEpochEngine(InProcessEngine):
     """All nodes in one in-process shard, advanced epoch-at-a-time."""
 
     name = "serial"
@@ -477,14 +457,26 @@ def create_engine(
 ):
     """Engine factory used by :class:`~repro.sim.grid.Grid`.
 
-    ``legacy`` and ``serial`` run in-process and take none of the worker
-    options; every other name builds the supervised engine.
+    ``serial`` runs in-process and takes none of the worker options; every
+    other name builds the supervised engine.
+
+    Raises:
+        SimulationError: for an unknown name, for worker options on the
+            serial engine, and for ``"legacy"``, which is the per-tick
+            verification reference rather than a shipped engine.
     """
+    if engine == "legacy":
+        raise SimulationError(
+            "the per-tick 'legacy' grid is the verification reference, not "
+            "a shipped engine: build repro.verify.reference.ReferenceGrid "
+            "(scenarios that list engine 'legacy' run it through "
+            "python -m repro.verify)"
+        )
     if engine not in ENGINE_NAMES:
         raise SimulationError(
             f"unknown grid engine {engine!r} (have: {', '.join(ENGINE_NAMES)})"
         )
-    if engine in ("legacy", "serial"):
+    if engine == "serial":
         options = {
             "grid chaos": chaos,
             "net chaos": net_chaos,
@@ -497,8 +489,6 @@ def create_engine(
                 raise SimulationError(
                     f"{what} requires a supervised engine, not {engine!r}"
                 )
-        if engine == "legacy":
-            return LegacyTickEngine(specs, tick, seed)
         return SerialEpochEngine(specs, tick, seed)
     from repro.sim.supervisor import SupervisedShardedEngine
 

@@ -55,20 +55,6 @@ class Scheduler:
             return [p.pu_id for p in self.topology.pus]
         return [p.pu_id for p in self.topology.pus if p.pu_id in affinity]
 
-    def dispatch(self, runnable: list[SimThread], dt: float) -> Dispatch:
-        """Assign runnable threads to PUs for one tick of length ``dt``.
-
-        Threads are considered in vruntime order (fairness); each picks, in
-        preference order: its previous PU if free and eligible; a free PU on
-        a fully idle core; any free eligible PU. Unplaced threads wait.
-
-        Side effects: updates each scheduled thread's ``vruntime``,
-        ``last_pu`` and ``context_switches``.
-        """
-        runnable = [t for t in runnable if t.state is TaskState.RUNNABLE]
-        order = sorted(runnable, key=lambda t: (t.vruntime, t.tid))
-        return self._place(order, dt)
-
     def dispatch_columns(
         self,
         threads: list[SimThread],
@@ -77,16 +63,20 @@ class Scheduler:
         candidate_slots: np.ndarray,
         dt: float,
     ) -> Dispatch:
-        """Columnar :meth:`dispatch`: candidates arrive as index arrays.
+        """Assign candidate threads to PUs for one tick of length ``dt``.
 
         ``candidate_slots`` indexes the parallel ``threads``/``tids``/
-        ``vruntimes`` columns (runnable and duty-gated already). The
-        fairness order comes from one ``np.lexsort`` over the columns —
-        bitwise the same order as ``sorted(key=(vruntime, tid))``, since
-        tids are unique — and the placement walk is shared with the scalar
-        path, so the two produce identical assignments and side effects.
-        Only the walked prefix of the order ever materialises thread
+        ``vruntimes`` columns (runnable and duty-gated already). Threads
+        are considered in vruntime order (fairness), which comes from one
+        ``np.lexsort`` over the columns — bitwise the same order as
+        ``sorted(key=(vruntime, tid))``, since tids are unique; each picks,
+        in preference order: its previous PU if free and eligible; a free
+        PU on a fully idle core; any free eligible PU. Unplaced threads
+        wait. Only the walked prefix of the order ever materialises thread
         objects (placement stops when the PUs run out).
+
+        Side effects: updates each scheduled thread's ``vruntime``,
+        ``last_pu`` and ``context_switches``.
         """
         order: Iterable[SimThread]
         if len(candidate_slots):
@@ -101,9 +91,10 @@ class Scheduler:
     def _place(self, order: Iterable[SimThread], dt: float) -> Dispatch:
         """Walk threads in fairness order and place them on free PUs.
 
-        The shared core of both dispatch entry points; all scheduler side
-        effects (vruntime, last_pu, context switches, placement memory)
-        happen here, identically for either caller.
+        All scheduler side effects (vruntime, last_pu, context switches,
+        placement memory) happen here. The reference stepper in
+        ``repro.verify.reference`` ranks with ``sorted()`` and walks the
+        same placement, so the two rankings are checked against each other.
         """
         free_pus = {p.pu_id for p in self.topology.pus}
         core_busy: dict[int, int] = {}

@@ -11,6 +11,7 @@ retires (nearly) the same instruction stream everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -20,6 +21,9 @@ from repro.errors import WorkloadError
 from repro.sim.branch import BranchBehavior
 from repro.sim.cache import MemoryBehavior
 from repro.sim.isa import FINITE_OPERANDS, InstructionMix, OperandProfile
+
+#: Creation numbers for :attr:`Phase.serial`.
+_PHASE_SERIALS = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -44,6 +48,13 @@ class Phase:
             micro-architecture idiosyncratically (gromacs ripples only on
             Nehalem, astar's last phases shift on PPC970 — §3.2); this is
             the calibration hook for those effects.
+
+    Every phase object also carries ``serial``, its creation number: not a
+    field (equality, hashing, ``repr`` and pickled bytes ignore it) and
+    unique within the process — a copy or an unpickled phase gets a fresh
+    one. Unlike ``id()``, it does not depend on object addresses, so the
+    kernel memos' admission digests (:class:`~repro.sim.core.SecondMiss`)
+    name phases by it.
     """
 
     name: str
@@ -65,6 +76,16 @@ class Phase:
             raise WorkloadError(f"phase {self.name!r} needs exec_cpi > 0")
         if self.noise < 0:
             raise WorkloadError(f"phase {self.name!r} has negative noise")
+        object.__setattr__(self, "serial", next(_PHASE_SERIALS))
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["serial"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        object.__setattr__(self, "serial", next(_PHASE_SERIALS))
 
     def with_budget(self, instructions: float) -> "Phase":
         """Copy of this phase with a different instruction budget."""

@@ -2,7 +2,7 @@
 
 Every oracle is a function ``(Execution) -> list[Violation]`` registered
 under a stable name. Differential oracles compare implementation pairs
-that claim exact agreement (scalar vs batched advance, batched vs
+that claim exact agreement (shipped vs reference advance, batched vs
 per-handle reads, engine vs engine, run vs replay); invariant oracles
 check semantic properties any single run must satisfy (delta
 monotonicity, enabled/running time accounting, cache-hierarchy
@@ -131,17 +131,18 @@ def _compare_runs(
 
 @oracle("advance-equivalence")
 def _advance_equivalence(ex: Execution) -> list[Violation]:
-    """``run_for`` vs ``run_ticks`` must be bitwise identical."""
-    if ex.base is None or ex.ticks is None:
+    """The shipped ``run_for`` tool run and a run stepped by the scalar
+    reference (:mod:`repro.verify.reference`) must be bitwise identical."""
+    if ex.base is None or ex.reference is None:
         return []
     return _compare_runs(
-        "advance-equivalence", "scalar", ex.base, "run_ticks", ex.ticks
+        "advance-equivalence", "run_for", ex.base, "reference", ex.reference
     )
 
 
 @oracle("scalar-columnar-machine")
 def _scalar_columnar_machine(ex: Execution) -> list[Violation]:
-    """The columnar tick kernel must replay the scalar ``_step`` reference
+    """The columnar tick kernel must replay the scalar reference stepper
     bit for bit on the bare machine.
 
     Deeper than advance-equivalence: no sampler or backend in the loop, and
@@ -152,7 +153,7 @@ def _scalar_columnar_machine(ex: Execution) -> list[Violation]:
     """
     if ex.scenario.kind != "tool":
         return []
-    scalar = run_machine(ex.scenario, advance="scalar")
+    scalar = run_machine(ex.scenario, advance="reference")
     columnar = run_machine(ex.scenario, advance="ticks")
     return [
         Violation(
@@ -289,7 +290,7 @@ def _replay_determinism(ex: Execution) -> list[Violation]:
 
 @oracle("engines-agree")
 def _engines_agree(ex: Execution) -> list[Violation]:
-    """Legacy / serial / sharded grid engines: identical digests."""
+    """Every grid engine and the per-tick reference: identical digests."""
     if len(ex.grid) < 2:
         return []
     out: list[Violation] = []
@@ -482,7 +483,7 @@ def _no_leaks(ex: Execution) -> list[Violation]:
     out: list[Violation] = []
     for label, run in (
         ("base", ex.base),
-        ("ticks", ex.ticks),
+        ("reference", ex.reference),
         ("sequential", ex.sequential),
         ("replay", ex.replay),
     ):

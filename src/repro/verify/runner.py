@@ -5,16 +5,19 @@ A **tool** scenario runs the sampler against one simulated node four
 times, each run rebuilding machine, backend and fault plan from the
 scenario alone (no state crosses runs):
 
-* ``base``   — scalar clock advance (``run_for``), batched counter reads.
-* ``ticks``  — batched advance (``run_ticks``); must be bitwise equal.
+* ``base``   — the shipped advance (``run_for``, the columnar kernel),
+  batched counter reads.
+* ``reference`` — the clock stepped by the scalar reference
+  (:mod:`repro.verify.reference`); must be bitwise equal.
 * ``sequential`` — per-handle reads (the backend's ``read_many`` is
   hidden); must agree with the batched read path.
 * ``replay`` — a second base run; must be byte-identical (determinism).
 
 A **grid** scenario runs the dispatcher once per engine in
-``scenario.engines`` plus one replay — of the chaotic supervised run
-when the scenario injects worker faults, of the first engine otherwise —
-capturing :meth:`~repro.sim.grid.Grid.conformance_digest` and the
+``scenario.engines`` (``"legacy"`` is the per-tick
+:class:`~repro.verify.reference.ReferenceGrid`) plus one replay — of the
+chaotic supervised run when the scenario injects worker faults, of the
+first engine otherwise — capturing :meth:`~repro.sim.grid.Grid.conformance_digest` and the
 supervision observables (recovery event log, supervisor stats, worker
 leak count) from each.
 """
@@ -35,7 +38,7 @@ from repro.perf.simbackend import SimBackend
 from repro.procfs.simproc import SimProcReader
 from repro.sim.arch import get_arch
 from repro.sim.events import Event
-from repro.sim.grid import Grid, NodeSpec, QueueSpec
+from repro.sim.grid import NodeSpec, QueueSpec
 from repro.sim.machine import SimMachine
 from repro.sim.netchaos import NetChaosPlan, NetFaultSpec, default_net_specs
 from repro.sim.parallel import node_snapshot
@@ -46,6 +49,7 @@ from repro.sim.supervisor import (
     default_grid_specs,
 )
 from repro.sim.workloads.synthetic import SyntheticSpec, build
+from repro.verify import reference
 from repro.verify.scenario import GiB, JobPlan, Scenario, TaskPlan
 
 
@@ -93,7 +97,7 @@ class Execution:
 
     scenario: Scenario
     base: ToolRun | None = None
-    ticks: ToolRun | None = None
+    reference: ToolRun | None = None
     sequential: ToolRun | None = None
     replay: ToolRun | None = None
     #: Serve run (tool scenarios with ``serve=True``): per-subscriber
@@ -212,15 +216,15 @@ def _screen_for(scenario: Scenario, chaotic: bool) -> Screen:
 def run_tool(
     scenario: Scenario,
     *,
-    advance: str = "scalar",
+    advance: str = "run_for",
     sequential: bool = False,
 ) -> ToolRun:
     """One full sampling run of a tool scenario (see module docstring).
 
     Args:
-        advance: "scalar" steps the clock with ``run_for``; "ticks" uses
-            the batched ``run_ticks`` path (the scenario guarantees the
-            delay is a whole number of ticks).
+        advance: "run_for" advances the clock with the shipped
+            ``SimMachine.run_for``; "reference" steps it with the scalar
+            :func:`repro.verify.reference.run_for`.
         sequential: hide the backend's ``read_many`` so every counter is
             read through the per-handle path.
     """
@@ -244,11 +248,10 @@ def run_tool(
     recorder = Recorder()
     frames: list[SnapshotFrame] = []
     health: list[dict[int, str]] = []
-    ticks_per_delay = round(scenario.delay / scenario.tick)
     sampler.sample_frame()  # baseline: attach, zero-length interval
     for _ in range(scenario.iterations):
-        if advance == "ticks":
-            machine.run_ticks(ticks_per_delay)
+        if advance == "reference":
+            reference.run_for(machine, scenario.delay)
         else:
             machine.run_for(scenario.delay)
         frame = sampler.sample_frame()
@@ -392,13 +395,13 @@ def run_served(scenario: Scenario) -> dict[str, Any]:
 MACHINE_ORACLE_EVENTS = (Event.INSTRUCTIONS, Event.CYCLES, Event.CACHE_MISSES)
 
 
-def run_machine(scenario: Scenario, *, advance: str = "scalar") -> dict[str, Any]:
+def run_machine(scenario: Scenario, *, advance: str = "ticks") -> dict[str, Any]:
     """One bare-machine run of a tool scenario: no sampler, no faults.
 
     Spawns the scenario's tasks (timers, kills and duty cycles included),
     opens :data:`MACHINE_ORACLE_EVENTS` on each immediately-spawned task,
     advances the clock in the scenario's delay cadence through either the
-    scalar ``_step`` reference (``advance="scalar"``) or the columnar
+    scalar reference stepper (``advance="reference"``) or the shipped
     ``run_ticks`` kernel (``advance="ticks"``), and returns the full node
     snapshot — the scalar-vs-columnar oracle's raw material, deeper than
     the tool runs because nothing in the sampler stack can mask a
@@ -412,11 +415,10 @@ def run_machine(scenario: Scenario, *, advance: str = "scalar") -> dict[str, Any
                 machine.counters.open(event, pids[task.name], 0)
     ticks_per_delay = round(scenario.delay / scenario.tick)
     for _ in range(scenario.iterations):
-        if advance == "ticks":
-            machine.run_ticks(ticks_per_delay)
+        if advance == "reference":
+            reference.run_ticks(machine, ticks_per_delay)
         else:
-            for _ in range(ticks_per_delay):
-                machine._step(machine.tick)
+            machine.run_ticks(ticks_per_delay)
     return node_snapshot(machine)
 
 
@@ -526,7 +528,7 @@ def run_grid(
             restart_budget=scenario.restart_budget,
             backoff_base=0.0,
         )
-    grid = Grid(
+    grid = reference.build_grid(
         specs,
         queues,
         tick=scenario.tick,
@@ -588,7 +590,7 @@ def execute(scenario: Scenario) -> Execution:
     ex = Execution(scenario=scenario)
     if scenario.kind == "tool":
         ex.base = run_tool(scenario)
-        ex.ticks = run_tool(scenario, advance="ticks")
+        ex.reference = run_tool(scenario, advance="reference")
         ex.sequential = run_tool(scenario, sequential=True)
         ex.replay = run_tool(scenario)
         if scenario.serve:

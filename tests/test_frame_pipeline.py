@@ -328,6 +328,22 @@ class TestProfileFlag:
             for field in ("advance=", "read=", "eval=", "render=", "tasks="):
                 assert field in line
 
+    def test_cli_profile_memo_counters_move(self, capsys):
+        """The kernel memos' counters are read from kernel_stats() and
+        move on the shipped advance path (they once read 0/0 forever)."""
+        assert main(["--sim", "-b", "-n", "3", "--profile"]) == 0
+        err = capsys.readouterr().err
+        lines = [line for line in err.splitlines() if line.startswith("profile:")]
+        assert len(lines) == 3
+        for line in lines:
+            fields = dict(
+                part.split("=", 1) for part in line.split() if "=" in part
+            )
+            for memo in ("rate_cache", "contention"):
+                hits, misses, live = map(int, fields[memo].split("/"))
+                assert misses > 0
+                assert hits >= 0 and live >= 0
+
     def test_profile_off_by_default(self, capsys):
         assert main(["--sim", "-b", "-n", "1"]) == 0
         assert "profile:" not in capsys.readouterr().err

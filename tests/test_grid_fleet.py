@@ -18,6 +18,7 @@ from repro.errors import ConfigError, SimulationError
 from repro.sim.grid import Grid, NodeSpec, QueueSpec
 from repro.sim.supervisor import GridFaultPlan, Supervision
 from repro.sim.workloads import datacenter
+from repro.verify.reference import build_grid
 
 GiB = 1024**3
 FAST = Supervision(deadline=0.5, backoff_base=0.0)
@@ -311,8 +312,8 @@ class TestPreemption:
         grid.run_for(4.0)
 
     def _run(self, engine, workers=1, **kw):
-        grid = Grid(_fleet(2), self._queues(), tick=1.0, seed=9,
-                    workers=workers, engine=engine, **kw)
+        grid = build_grid(_fleet(2), self._queues(), tick=1.0, seed=9,
+                          workers=workers, engine=engine, **kw)
         try:
             self._script(grid)
             jobs = {j.name: j for j in grid.jobs()}

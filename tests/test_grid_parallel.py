@@ -1,8 +1,9 @@
 """Engine equivalence and epoch semantics for the parallel grid.
 
-The contract under test: the legacy per-tick loop, the in-process serial
-epoch engine, and the sharded multi-process engine produce *bitwise
-identical* grids — job states, dispatch/finish times, per-node counter
+The contract under test: the per-tick reference loop
+(``repro.verify.reference.ReferenceGrid``, engine name ``"legacy"``), the
+in-process serial epoch engine, and the sharded multi-process engine
+produce *bitwise identical* grids — job states, dispatch/finish times, per-node counter
 tables — for any fleet, seed and churn script. Determinism is what makes
 ``workers=N`` a pure performance knob.
 """
@@ -23,6 +24,7 @@ from repro.sim.parallel import (
     workload_exit_lb,
 )
 from repro.sim.workloads import datacenter
+from repro.verify.reference import build_grid
 
 ENGINES = [("legacy", 1), ("serial", 1), ("sharded", 2), ("supervised", 2)]
 
@@ -110,8 +112,9 @@ class TestEngineEquivalence:
     def test_three_engines_bitwise_identical_under_churn(self, seed):
         results = {}
         for engine, workers in ENGINES:
-            with Grid(_small_fleet(), _small_queues(), tick=1.0,
-                      seed=seed, workers=workers, engine=engine) as grid:
+            with build_grid(_small_fleet(), _small_queues(), tick=1.0,
+                            seed=seed, workers=workers,
+                            engine=engine) as grid:
                 _churn(grid, seed)
                 results[engine] = _observables(grid)
         assert results["legacy"] == results["serial"]
@@ -131,9 +134,9 @@ class TestEngineEquivalence:
     def test_fractional_tail_equivalence(self):
         results = {}
         for engine, workers in ENGINES:
-            with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
-                      tick=1.0, seed=4, workers=workers,
-                      engine=engine) as grid:
+            with build_grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
+                            tick=1.0, seed=4, workers=workers,
+                            engine=engine) as grid:
                 grid.submit("j", _job(seconds=5.0), queue="short-2g-asap")
                 grid.run_for(3.25)
                 grid.run_for(0.5)
@@ -152,8 +155,8 @@ class TestEpochSemantics:
         even though no dispatch epoch boundary was scheduled there."""
         queues = [QueueSpec("blink", max_wallclock=10.0,
                             memory_limit=2 * 1024**3)]
-        with Grid([NodeSpec(name="n")], queues, tick=1.0, seed=2,
-                  workers=workers, engine=engine) as grid:
+        with build_grid([NodeSpec(name="n")], queues, tick=1.0, seed=2,
+                        workers=workers, engine=engine) as grid:
             job = grid.submit("svc", _endless(), queue="blink")
             grid.run_for(30.0)
             assert job.state == "done"
@@ -162,8 +165,8 @@ class TestEpochSemantics:
 
     @pytest.mark.parametrize("engine,workers", ENGINES)
     def test_utilisation_after_reap(self, engine, workers):
-        with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
-                  tick=1.0, seed=2, workers=workers, engine=engine) as grid:
+        with build_grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
+                        tick=1.0, seed=2, workers=workers, engine=engine) as grid:
             grid.submit("j", _job(seconds=4.0, ipc=1.0), queue="short-2g-asap")
             grid.run_for(1.0)
             assert grid.utilisation()["n"] == 0.5
@@ -173,8 +176,8 @@ class TestEpochSemantics:
 
     @pytest.mark.parametrize("engine,workers", ENGINES)
     def test_full_fleet_queues_until_slot_frees(self, engine, workers):
-        with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
-                  tick=1.0, seed=2, workers=workers, engine=engine) as grid:
+        with build_grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],
+                        tick=1.0, seed=2, workers=workers, engine=engine) as grid:
             a = grid.submit("a", _job(seconds=6.0, ipc=1.0),
                             queue="short-2g-asap")
             b = grid.submit("b", _endless("b"), queue="short-2g-asap")
@@ -192,8 +195,8 @@ class TestEpochSemantics:
 
     @pytest.mark.parametrize("engine,workers", ENGINES)
     def test_job_state_transitions(self, engine, workers):
-        with Grid([NodeSpec(name="n")], tick=1.0, seed=2,
-                  workers=workers, engine=engine) as grid:
+        with build_grid([NodeSpec(name="n")], tick=1.0, seed=2,
+                        workers=workers, engine=engine) as grid:
             job = grid.submit("j", _job(seconds=5.0, ipc=1.0),
                               queue="short-2g-asap")
             assert job.state == "pending"
@@ -353,8 +356,11 @@ class TestShardedEngineSurface:
         with pytest.raises(SimulationError):
             Grid(_small_fleet(), _small_queues(), workers=0)
         assert set(ENGINE_NAMES) == {
-            "legacy", "serial", "sharded", "supervised", "fleet"
+            "serial", "sharded", "supervised", "fleet"
         }
+        # The per-tick loop is the verification reference, not an engine.
+        with pytest.raises(SimulationError, match="ReferenceGrid"):
+            Grid(_small_fleet(), _small_queues(), engine="legacy")
 
     def test_more_workers_than_nodes_is_clamped(self):
         with Grid([NodeSpec(name="n", sockets=1, cores_per_socket=1)],

@@ -1,10 +1,12 @@
 """Property tests: ``run_ticks(n)`` is bitwise-identical to n scalar steps.
 
-The batched tick path exists purely for speed — its memo caches (rate
+The columnar kernel exists purely for speed — its memo caches (rate
 cache, contention cache, idle-clock folding) must return the very values
-the scalar per-tick path computes, including every float rounding step and
-every RNG draw. These tests drive two identically-built machines, one via
-``n`` scalar ``_step`` calls and one via ``run_ticks(n)``, and require the
+the scalar per-tick reference computes, including every float rounding
+step and every RNG draw. These tests drive two identically-built machines,
+one via ``n`` calls of the reference stepper
+(:func:`repro.verify.reference.step`) and one via ``run_ticks(n)``, and
+require the
 *entire* observable state to match exactly: thread progress, scheduler
 bookkeeping, every counter's value and both kernel clocks, multiplexing
 rotation, and the virtual clock.
@@ -27,6 +29,7 @@ from repro.sim.arch import NEHALEM
 from repro.sim.events import Event
 from repro.sim.machine import SimMachine
 from repro.sim.workloads import synthetic
+from repro.verify import reference
 
 EVENTS = (Event.INSTRUCTIONS, Event.CYCLES, Event.CACHE_MISSES)
 
@@ -66,7 +69,7 @@ def assert_paths_equal(build, n: int) -> None:
     scalar = build()
     batched = build()
     for _ in range(n):
-        scalar._step(scalar.tick)
+        reference.step(scalar, scalar.tick)
     batched.run_ticks(n)
     a, b = machine_state(scalar), machine_state(batched)
     assert a.keys() == b.keys()
@@ -276,6 +279,29 @@ class TestTimersAndLifecycles:
         assert_paths_equal(build, 200)
 
 
+class TestIdleArrears:
+    def test_short_and_long_arrears_on_mixed_counter_sets(self):
+        """Idle arrears folded at a timer boundary and at batch end, both
+        within the kernel's all-task vector fold and beyond it (rarely
+        runnable tasks owe ~100 ticks), over simple, multiplexed and
+        counter-less tasks alike."""
+
+        def build():
+            machine = SimMachine(
+                replace(NEHALEM, pmu_width=2), sockets=1, cores_per_socket=1,
+                tick=0.1, seed=13,
+            )
+            populate(machine, 3, spec_seed=6)  # 3 events > width: multiplexed
+            populate(machine, 3, spec_seed=7, events=EVENTS[:2])
+            populate(machine, 2, spec_seed=8, events=())
+            populate(machine, 2, spec_seed=9, events=EVENTS[:2],
+                     duty_cycle=0.01)
+            machine.at(9.05, lambda: None)  # a boundary deep into the batch
+            return machine
+
+        assert_paths_equal(build, 150)
+
+
 class TestInterleaving:
     def test_batched_and_scalar_interleave(self):
         def build():
@@ -288,10 +314,10 @@ class TestInterleaving:
         scalar = build()
         mixed = build()
         for _ in range(30):
-            scalar._step(scalar.tick)
+            reference.step(scalar, scalar.tick)
         mixed.run_ticks(11)
         for _ in range(5):
-            mixed._step(mixed.tick)
+            reference.step(mixed, mixed.tick)
         mixed.run_ticks(14)
         a, b = machine_state(scalar), machine_state(mixed)
         assert a == b

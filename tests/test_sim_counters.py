@@ -251,3 +251,41 @@ class TestCounterColumns:
         cols.free(slot)
         with pytest.raises(SimulationError):
             cols.free(slot)
+
+
+class TestPerTidStateIsBounded:
+    def test_churned_tids_leave_no_per_tid_entries(self, table):
+        """A node that churns through tasks keeps per-tid state only for
+        tasks with open counters."""
+        for tid in range(5000):
+            counter = table.open(Event.CYCLES, tid, 0)
+            table.tid_slots(tid)  # populate the slot cache, as the kernel does
+            table.close(counter.counter_id)
+        assert table._by_tid == {}
+        assert table._tid_cache == {}
+
+    def test_tids_without_counters_are_not_cached(self, table):
+        slots, codes, simple = table.tid_slots(42)
+        assert slots.size == 0 and codes.size == 0 and simple
+        assert table._tid_cache == {}
+
+    def test_reattach_resumes_the_multiplex_window(self):
+        """Closing a multiplexed tid's last counter keeps its rotation, so
+        a reattach reads what it always did (values pinned from before the
+        per-tid entries were dropped on close)."""
+        table = CounterTable(pmu_width=2, seed=0)
+        events = (Event.CYCLES, Event.INSTRUCTIONS, Event.LOADS)
+        first = [table.open(e, 7, 0).counter_id for e in events]
+        for _ in range(5):
+            table.accrue(7, {e: 1.0 for e in events}, wall_dt=1.0,
+                         scheduled_dt=1.0, alive=True)
+        for cid in first:
+            table.close(cid)
+        again = [table.open(e, 7, 0) for e in events]
+        for _ in range(4):
+            table.accrue(7, {e: 1.0 for e in events}, wall_dt=1.0,
+                         scheduled_dt=1.0, alive=True)
+        assert [c.reading() for c in again] == [
+            (3, 4.0, 3.0), (2, 4.0, 2.0), (3, 4.0, 3.0)
+        ]
+        assert table._rotation == {7: 9}

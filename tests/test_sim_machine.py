@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.sim import NEHALEM, SimMachine
+from repro.sim.columns import ColumnKernel
 from repro.sim.events import Event
 from repro.sim.smt import issue_share
 from repro.sim.workload import Workload
@@ -53,41 +54,48 @@ class TestLifecycle:
             nehalem_machine.spawn("x", endless_workload, affinity={99})
 
 
+def _spy_kernel(monkeypatch) -> list[float]:
+    """Replace ``ColumnKernel.run(n, dt)`` with a clock-only stub; returns
+    the list that receives one ``dt`` per tick the kernel was asked for."""
+    steps: list[float] = []
+
+    def fake_run(kernel, n, dt):
+        for _ in range(n):
+            steps.append(dt)
+            kernel.machine.now += dt
+
+    monkeypatch.setattr(ColumnKernel, "run", fake_run)
+    return steps
+
+
 class TestClockAndTimers:
     def test_run_until_exact(self, nehalem_machine):
         nehalem_machine.run_until(1.05)
         assert nehalem_machine.now == pytest.approx(1.05)
 
-    def test_run_until_counts_whole_ticks_without_drift(self, nehalem_machine):
+    def test_run_until_counts_whole_ticks_without_drift(
+        self, nehalem_machine, monkeypatch
+    ):
         """10^6 ticks at tick=0.1 must be exactly 10^6 full steps.
 
         The old epsilon loop (``while now < deadline - 1e-12``) compared an
         absolute epsilon against a clock whose ulp grows past it (ulp of
         1e5 is ~1.5e-11), so long runs shed ticks and finished with ragged
-        fractional steps. Integer tick accounting cannot drift. ``_step``
-        is stubbed: the property under test is pure tick bookkeeping.
+        fractional steps. Integer tick accounting cannot drift. The
+        kernel's ``run(n, dt)`` is stubbed to record its ticks: the
+        property under test is pure tick bookkeeping.
         """
         machine = nehalem_machine
-        steps = []
-
-        def fake_step(dt):
-            steps.append(dt)
-            machine.now += dt
-
-        machine._step = fake_step
+        steps = _spy_kernel(monkeypatch)
         machine.run_until(100_000.0)
         assert len(steps) == 1_000_000
         assert all(dt == 0.1 for dt in steps)
 
-    def test_run_until_fractional_remainder_still_steps(self, nehalem_machine):
+    def test_run_until_fractional_remainder_still_steps(
+        self, nehalem_machine, monkeypatch
+    ):
         machine = nehalem_machine
-        steps = []
-
-        def fake_step(dt):
-            steps.append(dt)
-            machine.now += dt
-
-        machine._step = fake_step
+        steps = _spy_kernel(monkeypatch)
         machine.run_until(0.25)
         assert len(steps) == 3
         assert steps[0] == steps[1] == 0.1
@@ -203,3 +211,28 @@ class TestSmt:
         assert ca.value < sc.value
         # But combined throughput beats one thread (SMT efficiency > 1).
         assert ca.value + cb.value > sc.value
+
+
+class TestKernelMemos:
+    @staticmethod
+    def _node_stats() -> dict[str, int]:
+        from repro.sim.workloads import datacenter
+
+        m = SimMachine(
+            datacenter.WESTMERE_E5640, sockets=1, cores_per_socket=2,
+            tick=1.0, seed=4,
+        )
+        for i in range(7):
+            m.spawn(f"j{i}", datacenter.compute_job(f"j{i}", 0.6 + 0.1 * i))
+        m.run_ticks(400)
+        return m.kernel_stats()
+
+    def test_same_node_twice_same_stats(self):
+        """Memo admission depends on the run, not on object addresses:
+        the same node run twice hits, misses and stores the same."""
+        first = self._node_stats()
+        assert first == self._node_stats()
+        for memo in ("rate_cache", "contention"):
+            # An orbiting node reuses keys; only re-missed ones are stored.
+            assert first[f"{memo}_hits"] > 0
+            assert 0 < first[f"{memo}_entries"] < first[f"{memo}_misses"]

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.sim import NEHALEM, SimMachine
@@ -28,29 +29,40 @@ def sched():
     return Scheduler(Topology(NEHALEM, 1, 4))
 
 
+def _dispatch(sched, threads, dt):
+    """One scheduling round through the machine kernel's entry point:
+    the threads become columns, runnable ones the candidates."""
+    tids = np.array([t.tid for t in threads], dtype=np.int64)
+    vruntimes = np.array([t.vruntime for t in threads])
+    candidates = np.flatnonzero(
+        [t.state is TaskState.RUNNABLE for t in threads]
+    )
+    return sched.dispatch_columns(threads, tids, vruntimes, candidates, dt)
+
+
 class TestDispatch:
     def test_spreads_over_idle_cores_first(self, sched):
         """Four runnable threads land on four distinct physical cores."""
         threads = _threads(4)
-        d = sched.dispatch(threads, 0.1)
+        d = _dispatch(sched, threads, 0.1)
         cores = {sched.topology.pu(pu).core_id for pu in d.assignment}
         assert len(cores) == 4
 
     def test_fills_smt_after_cores(self, sched):
         threads = _threads(8)
-        d = sched.dispatch(threads, 0.1)
+        d = _dispatch(sched, threads, 0.1)
         assert len(d.assignment) == 8  # all PUs used
 
     def test_oversubscription_waits(self, sched):
         threads = _threads(10)
-        d = sched.dispatch(threads, 0.1)
+        d = _dispatch(sched, threads, 0.1)
         assert len(d.assignment) == 8
         scheduled = set(d.assignment.values())
         assert sum(1 for t in threads if t in scheduled) == 8
 
     def test_affinity_respected(self, sched):
         threads = _threads(2, affinity={0})
-        d = sched.dispatch(threads, 0.1)
+        d = _dispatch(sched, threads, 0.1)
         assert set(d.assignment) == {0}  # only PU0 eligible; one thread waits
 
     def test_same_core_pinning(self, sched):
@@ -58,7 +70,7 @@ class TestDispatch:
         a = _threads(1, affinity={0})[0]
         b = _threads(1, affinity={4})[0]
         b.tid = 200
-        d = sched.dispatch([a, b], 0.1)
+        d = _dispatch(sched, [a, b], 0.1)
         assert d.assignment[0] is a
         assert d.assignment[4] is b
 
@@ -66,7 +78,7 @@ class TestDispatch:
         """Over many ticks, 10 threads on 8 PUs each get ~80 % of a PU."""
         threads = _threads(10)
         for _ in range(200):
-            sched.dispatch(threads, 0.1)
+            _dispatch(sched, threads, 0.1)
         runs = sorted(t.vruntime for t in threads)
         assert runs[-1] - runs[0] <= 0.3  # tight spread
 
@@ -78,7 +90,7 @@ class TestDispatch:
         allts = normal + nice
         got = {t.tid: 0 for t in allts}
         for _ in range(300):
-            d = sched.dispatch(allts, 0.1)
+            d = _dispatch(sched, allts, 0.1)
             for t in d.assignment.values():
                 got[t.tid] += 1
         avg_normal = sum(got[t.tid] for t in normal) / len(normal)
@@ -87,31 +99,49 @@ class TestDispatch:
 
     def test_sticky_placement(self, sched):
         threads = _threads(3)
-        d1 = sched.dispatch(threads, 0.1)
+        d1 = _dispatch(sched, threads, 0.1)
         placement1 = {t.tid: pu for pu, t in d1.assignment.items()}
-        d2 = sched.dispatch(threads, 0.1)
+        d2 = _dispatch(sched, threads, 0.1)
         placement2 = {t.tid: pu for pu, t in d2.assignment.items()}
         assert placement1 == placement2
 
     def test_context_switch_counted_once_for_steady_run(self, sched):
         t = _threads(1)[0]
         for _ in range(5):
-            sched.dispatch([t], 0.1)
+            _dispatch(sched, [t], 0.1)
         assert t.context_switches == 1  # only the initial switch-in
 
-    def test_dead_threads_ignored(self, sched):
-        t = _threads(1)[0]
-        t.state = TaskState.DEAD
-        d = sched.dispatch([t], 0.1)
-        assert not d.assignment
+    def test_dead_threads_ignored(self, endless_workload):
+        """A killed task is never scheduled again, whether the kill lands
+        between runs or at a timer inside the kernel's tick batch."""
+        for mid_batch in (False, True):
+            m = SimMachine(
+                NEHALEM, sockets=1, cores_per_socket=1, tick=0.1, seed=3
+            )
+            procs = [m.spawn(f"j{i}", endless_workload) for i in range(3)]
+            m.run_ticks(4)
+            victim = procs[1]
+            if mid_batch:
+                m.kill_at(m.now + 0.5, victim.pid)
+                m.run_ticks(5)
+            else:
+                m.kill(victim.pid)
+            (dead,) = victim.threads
+            assert dead.state is TaskState.DEAD
+            cpu_time, vruntime = dead.cpu_time, dead.vruntime
+            live = (procs[0], procs[2])
+            before = [p.cpu_time for p in live]
+            m.run_ticks(20)
+            assert (dead.cpu_time, dead.vruntime) == (cpu_time, vruntime)
+            assert all(p.cpu_time > t for p, t in zip(live, before))
 
     def test_preempted_reported(self, sched):
         a = _threads(1, affinity={0})[0]
-        sched.dispatch([a], 0.1)
+        _dispatch(sched, [a], 0.1)
         b = _threads(1, affinity={0})[0]
         b.tid = 999
         b.vruntime = -10.0  # much more deserving
-        d = sched.dispatch([a, b], 0.1)
+        d = _dispatch(sched, [a, b], 0.1)
         assert d.assignment[0] is b
         assert a in d.preempted
 
